@@ -2,13 +2,20 @@
 decision circuits over the query's free variables.
 
 The compiler follows a total variable order with the free variables first.
-At each step it branches on the next variable, keeping per-atom sorted fact
-indexes so that only values consistent with every remaining atom are tried;
-independent components of the residual query compile separately under a
-join gate, and residual states are cached.  Once all free variables of a
-component are fixed, the remaining existential part reduces to a cached
-emptiness test.  With an order witnessing free-connex acyclicity the
-circuit size is linear in the database, up to query-dependent factors.
+Facts are rank-encoded (each value replaced by its position in the active
+domain, sorted by `domain_sort_key`) and kept in per-atom sorted indexes, so
+a residual state is one contiguous slice per atom.  At each step it
+branches on the next variable, trying only values shared by every atom that
+decides it: the values are found by a seek-based intersection in the style
+of Leapfrog Triejoin, which steps through the narrowest slice and seeks a
+monotone cursor forward in the others, so one branch point costs about
+min-slice * log(slice) rather than the sum of the slices.  Independent
+components of the residual query compile separately under a join gate, and
+residual states are cached.  Once all free variables of a component are
+fixed, the remaining existential part reduces to a cached emptiness test
+that stops at the first witness.  With an order witnessing free-connex
+acyclicity the circuit size, and the compile time up to a log factor, are
+linear in the database, up to query-dependent factors.
 """
 
 from __future__ import annotations
@@ -330,10 +337,13 @@ def _reroot(tree: JoinTree, new_root: int) -> JoinTree:
 class _AtomIndex:
     """Facts of one atom, sorted along the decision order.
 
-    Variables of the atom are grouped in decision order; the sort key of a
-    fact lists its values by group (a repeated variable contributes one
-    group with several positions).  Narrowing by the next group's value
-    keeps the consistent facts a contiguous slice.
+    Variables of the atom are grouped in decision order; the key of a fact
+    lists its values by group (a repeated variable contributes one group
+    with several positions).  Values are rank-encoded: each is replaced by
+    its int position in the database's active domain, which is sorted by
+    `domain_sort_key`, so keys of mixed-type columns compare as ints and
+    sort in domain order.  Narrowing by the next group's value keeps the
+    consistent facts a contiguous slice.
     """
 
     def __init__(self, atom_id: int, rel: str, vars_: tuple, facts: Iterable[tuple],
@@ -363,25 +373,6 @@ class _AtomIndex:
 
     def full_range(self) -> tuple:
         return (0, len(self.keys), 0)
-
-    def narrow(self, state: tuple, value) -> Optional[tuple]:
-        """Restrict to facts whose next group equals the value."""
-        lo, hi, depth = state
-        lo2 = _lower_bound(self.keys, lo, hi, depth, value)
-        hi2 = _upper_bound(self.keys, lo2, hi, depth, value)
-        if lo2 >= hi2:
-            return None
-        return (lo2, hi2, depth + 1)
-
-    def candidate_values(self, state: tuple) -> list:
-        """Distinct values of the next group within the state's slice."""
-        lo, hi, depth = state
-        out = []
-        while lo < hi:
-            v = self.keys[lo][depth]
-            out.append(v)
-            lo = _upper_bound(self.keys, lo, hi, depth, v)
-        return out
 
     def next_var(self, state: tuple) -> Optional[str]:
         depth = state[2]
@@ -475,8 +466,10 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
         raise OrderMissingVariables("free variables must form a prefix of the order")
     rank = {v: i for i, v in enumerate(order)}
 
-    per_atom = [sorted(db.relations[rel],
-                       key=lambda f: tuple(domain_sort_key(v) for v in f))
+    # facts are rank-encoded: value i of the sorted active domain becomes i
+    values = db.active_domain
+    value_rank = {v: i for i, v in enumerate(values)}
+    per_atom = [[tuple(value_rank[v] for v in f) for f in db.relations[rel]]
                 for rel, _ in query.atoms]
     if reduce_first and is_acyclic(query):
         per_atom = _reduce_facts(query, per_atom)
@@ -492,8 +485,8 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
             for gi, gv in enumerate(idx.group_vars):
                 if gv == v:
                     seen.update(key[gi] for key in idx.keys)
-        dummy = db.active_domain[0] if db.active_domain else '_'
-        domains[v] = sorted(seen, key=domain_sort_key) if seen else [dummy]
+        dummy = values[0] if values else '_'
+        domains[v] = [values[r] for r in sorted(seen)] if seen else [dummy]
 
     b = RelBuilder(order[:num_free], domains)
     free_vars = set(query.head)
@@ -538,25 +531,40 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
                 best = v
         return best
 
-    def branch_values(atom_states: dict, atoms: list, var: str) -> list:
-        values = None
-        for a in atoms:
-            if indexes[a].next_var(atom_states[a]) == var:
-                cand = indexes[a].candidate_values(atom_states[a])
-                values = cand if values is None else [v for v in values if v in set(cand)]
-                if not values:
-                    return []
-        return values or []
+    def branches(atom_states: dict, atoms: list, var: str) -> Iterator[tuple]:
+        """Yield (rank, narrowed states) for every value rank of `var`
+        shared by all atoms deciding it, in ascending order.
 
-    def narrowed(atom_states: dict, atoms: list, var: str, value) -> Optional[dict]:
-        out = dict(atom_states)
-        for a in atoms:
-            if indexes[a].next_var(atom_states[a]) == var:
-                nxt = indexes[a].narrow(atom_states[a], value)
-                if nxt is None:
-                    return None
-                out[a] = nxt
-        return out
+        Seek-based intersection: step through the distinct values of the
+        narrowest slice and seek a monotone cursor forward in each other
+        slice; a miss moves the narrowest slice on to the value found.
+        """
+        deciding = sorted((a for a in atoms
+                           if indexes[a].next_var(atom_states[a]) == var),
+                          key=lambda a: atom_states[a][1] - atom_states[a][0])
+        keys0 = indexes[deciding[0]].keys
+        lo0, hi0, depth = atom_states[deciding[0]]
+        others = [(a, indexes[a].keys) + atom_states[a][1:] for a in deciding[1:]]
+        cursors = [atom_states[a][0] for a in deciding[1:]]
+        while lo0 < hi0:
+            value = keys0[lo0][depth]
+            for j, (_, keys, hi, d) in enumerate(others):
+                c = cursors[j] = _lower_bound(keys, cursors[j], hi, d, value)
+                if c == hi:
+                    return
+                if keys[c][d] != value:
+                    lo0 = _lower_bound(keys0, lo0, hi0, depth, keys[c][d])
+                    break
+            else:
+                sub = dict(atom_states)
+                end0 = _upper_bound(keys0, lo0, hi0, depth, value)
+                sub[deciding[0]] = (lo0, end0, depth + 1)
+                for j, (a, keys, hi, d) in enumerate(others):
+                    c = cursors[j]
+                    cursors[j] = _upper_bound(keys, c, hi, d, value)
+                    sub[a] = (c, cursors[j], d + 1)
+                yield value, sub
+                lo0 = end0
 
     def exists(atom_states: dict, atoms: list) -> bool:
         atoms = [a for a in atoms
@@ -570,9 +578,8 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
                 return hit
         var = next_variable(atom_states, atoms)
         result = False
-        for value in branch_values(atom_states, atoms, var):
-            sub = narrowed(atom_states, atoms, var, value)
-            if sub is not None and exists(sub, atoms):
+        for _, sub in branches(atom_states, atoms, var):
+            if exists(sub, atoms):
                 result = True
                 break
         if use_cache:
@@ -610,16 +617,13 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
             if var not in free_vars:
                 node = b.unit() if exists(live, atoms) else b.empty()
             else:
-                branches = []
-                for value in branch_values(live, atoms, var):
-                    sub_states = narrowed(live, atoms, var, value)
-                    if sub_states is None:
-                        continue
+                children = []
+                for r, sub_states in branches(live, atoms, var):
                     sub = compile_part(sub_states)
                     if b.nodes[sub] == ('0',):
                         continue
-                    branches.append(b.join((b.input(var, value), sub)))
-                node = b.union(tuple(branches)) if branches else b.empty()
+                    children.append(b.join((b.input(var, values[r]), sub)))
+                node = b.union(tuple(children)) if children else b.empty()
         if use_cache:
             circuit_cache[key] = node
         return node

@@ -3,13 +3,16 @@ import warnings
 
 import pytest
 
-from kcomp.cq import (ConjunctiveQuery, Database, answer_access, answer_count,
-                      answer_enum, compile_cq, elimination_order, is_acyclic,
-                      is_free_connex, join_tree, parse_cq, query_holds)
+from kcomp import cq as cq_module
+from kcomp.cq import (ConjunctiveQuery, Database, _materialize, answer_access,
+                      answer_count, answer_enum, compile_cq, elimination_order,
+                      is_acyclic, is_free_connex, join_tree, parse_cq,
+                      query_holds)
 from kcomp.errors import (ArityMismatch, NotFreeConnex, OrderMissingVariables,
                           OutOfRange, QuerySyntaxError, UnboundHeadVariable,
                           UnknownRelation)
-from kcomp.relational import classify_rel, count_rel, enumerate_rel
+from kcomp.relational import (classify_rel, count_rel, direct_access,
+                              enumerate_rel)
 
 from oracles import join_answers
 
@@ -340,3 +343,114 @@ def test_elimination_order_gives_small_circuits():
     c = compile_cq(q, db, order=elimination_order(q))
     total_facts = sum(len(f) for f in db.relations.values())
     assert c.size <= 5 * (total_facts + 1)
+
+
+# -- branch intersection and rank-encoded keys --------------------------------------------
+
+def assert_matches_materialize(q, db, **options):
+    """Count, enumeration order and every rank agree with the backtracking join."""
+    c = compile_cq(q, db, **options)
+    expect = [tuple(a[v] for v in q.head) for a in _materialize(q, db)]
+    assert count_rel(c) == len(expect)
+    assert [tuple(t[v] for v in q.head) for t in enumerate_rel(c)] == expect
+    for i in range(1, len(expect) + 1):
+        assert tuple(direct_access(c, i)[v] for v in q.head) == expect[i - 1]
+    return c
+
+
+def test_compile_mixed_type_values_match_materialize():
+    db = Database({'R': {(1, 'a'), ('b', 'a')}, 'S': {('a', 1)}})
+    c = assert_matches_materialize(parse_cq("Q(x, y, z) :- R(x, y), S(y, z)."), db)
+    assert c.domains[0] == (1, 'b')
+    rng = random.Random(8)
+    pool = [0, 1, 2, 10, 'a', 'b', '10', 2.5]
+    for _ in range(20):
+        rels = {rel: {(rng.choice(pool), rng.choice(pool)) for _ in range(12)}
+                for rel in 'RST'}
+        db = Database(rels)
+        for text in ("Q(x, y, z) :- R(x, y), S(y, z).",
+                     "Q(x, y) :- R(x, y), S(y, z), T(y, w).",
+                     "Q(y) :- R(x, y), S(y, y)."):
+            for use_cache in (True, False):
+                assert_matches_materialize(parse_cq(text), db, use_cache=use_cache)
+
+
+# both cache settings, with and without the semijoin reduction, which
+# otherwise equalises the key sets of the atoms before any seek can miss
+COMPILE_OPTIONS = [{'use_cache': u, 'reduce_first': r}
+                   for u in (True, False) for r in (True, False)]
+
+
+@pytest.mark.parametrize("options", COMPILE_OPTIONS)
+def test_intersection_three_atoms_narrowest_not_first(options):
+    # T decides y with the narrowest slice at the root; after x is fixed,
+    # R's slice is the narrowest of the three
+    rng = random.Random(21)
+    rels = {'R': {(rng.randrange(30), rng.randrange(60)) for _ in range(300)},
+            'S': {(rng.randrange(60), rng.randrange(5)) for _ in range(120)},
+            'T': {(y, 0) for y in range(0, 60, 7)}}
+    db = Database(rels)
+    for text in ("Q(y) :- R(x, y), S(y, z), T(y, w).",
+                 "Q(x, y) :- R(x, y), S(y, z), T(y, w)."):
+        assert_matches_materialize(parse_cq(text), db, **options)
+
+
+@pytest.mark.parametrize("options", COMPILE_OPTIONS)
+def test_intersection_random_slices(options):
+    # key sets of different densities: a seek that misses often lands on a
+    # value that the narrowest slice also holds
+    rng = random.Random(33)
+    for _ in range(40):
+        rels = {rel: {(x, y) for x in range(3) for y in range(16)
+                      if rng.random() < density}
+                for rel, density in zip('RST', rng.sample([0.2, 0.5, 0.8], 3))}
+        db = Database(rels)
+        for text in ("Q(y) :- R(x, y), S(y, z), T(y, w).",
+                     "Q(x, y) :- R(x, y), S(y, z), T(y, w).",
+                     "Q(y, z) :- R(y, z), S(y, z), T(y, z)."):
+            assert_matches_materialize(parse_cq(text), db, **options)
+
+
+@pytest.mark.parametrize("options", COMPILE_OPTIONS)
+def test_intersection_empty(options):
+    q = parse_cq("Q(x, y) :- R(x, y), S(y, z), T(y, w).")
+    # interleaved but disjoint join keys: every seek misses
+    db = Database({'R': {(x, y) for x in range(3) for y in range(0, 40, 2)},
+                   'S': {(y, 0) for y in range(1, 40, 2)},
+                   'T': {(y, 0) for y in range(40)}})
+    assert count_rel(assert_matches_materialize(q, db, **options)) == 0
+    # each pair of atoms meets, the three never do
+    db = Database({'R': {(0, y) for y in (1, 2)}, 'S': {(y, 0) for y in (2, 3)},
+                   'T': {(y, 0) for y in (1, 3)}})
+    assert count_rel(assert_matches_materialize(q, db, **options)) == 0
+
+
+@pytest.mark.parametrize("options", COMPILE_OPTIONS)
+def test_intersection_repeated_variable(options):
+    db = Database({'R': {(a, b) for a in range(6) for b in range(6)
+                         if (a * b) % 4 != 1},
+                   'S': {(a, a + 1) for a in range(0, 6, 2)} | {(3, 3)}})
+    for text in ("Q(x) :- R(x, x).",
+                 "Q(x, y) :- R(x, x), S(x, y).",
+                 "Q(x) :- S(x, y), R(y, y)."):
+        assert_matches_materialize(parse_cq(text), db, **options)
+
+
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_boolean_exists_stops_at_first_witness(use_cache, monkeypatch):
+    q = parse_cq("Q() :- R(x, y), S(y, z).")
+    db = Database({'R': {(x, 'k') for x in range(2000)},
+                   'S': {('k', z) for z in range(2000)}})
+    seeks = []
+    upper = cq_module._upper_bound
+
+    def counting_upper_bound(*args):
+        seeks.append(args)
+        return upper(*args)
+
+    monkeypatch.setattr(cq_module, '_upper_bound', counting_upper_bound)
+    c = compile_cq(q, db, use_cache=use_cache)
+    assert count_rel(c) == 1
+    assert len(seeks) < 10
+    db = Database({'R': db.relations['R'], 'S': {('j', z) for z in range(2000)}})
+    assert count_rel(compile_cq(q, db, use_cache=use_cache)) == 0
