@@ -5,7 +5,8 @@ and literals) and AND/OR/NOT gates.  Construction goes through
 CircuitBuilder, which hash-conses nodes so that structurally identical
 subcircuits share one id; finish() prunes unreachable nodes and freezes the
 result.  All transformations (NNF normalization, conditioning, smoothing)
-return new circuits.
+return new circuits.  The node model, builder and DAG passes are shared
+with relational circuits and live in `_dag`.
 
 Node records, children always before parents in the node list:
 
@@ -25,6 +26,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ._dag import (Builder, binary_splits, edge_count, rebuild, truth_values,
+                   var_sets)
 from .errors import NotDecomposable
 
 TRUE = ('T',)
@@ -153,13 +156,7 @@ class BoolCircuit:
     def size(self) -> int:
         """Edge count of the DAG."""
         if self._size is None:
-            total = 0
-            for rec in self.nodes:
-                if rec[0] in ('A', 'O'):
-                    total += len(rec[1])
-                elif rec[0] == 'N':
-                    total += 1
-            self._size = total
+            self._size = edge_count(self.nodes)
         return self._size
 
     def __len__(self) -> int:
@@ -171,47 +168,19 @@ class BoolCircuit:
     def varsets(self) -> tuple:
         """Per-node variable sets: vars with a directed path to the node."""
         if self._varsets is None:
-            sets = []
-            for rec in self.nodes:
-                kind = rec[0]
-                if kind == 'L':
-                    sets.append(frozenset((rec[1],)))
-                elif kind in ('T', 'F'):
-                    sets.append(frozenset())
-                elif kind == 'N':
-                    sets.append(sets[rec[1]])
-                elif len(rec[1]) == 1:
-                    sets.append(sets[rec[1][0]])
-                else:
-                    acc = set()
-                    for c in rec[1]:
-                        acc.update(sets[c])
-                    sets.append(frozenset(acc))
-            self._varsets = tuple(sets)
+            self._varsets = var_sets(self.nodes)
         return self._varsets
 
     def evaluate(self, valuation: Valuation) -> int:
         """Evaluate under a valuation covering var(output); extra vars are
         ignored (they do not affect the computed function)."""
-        vals = []
-        for rec in self.nodes:
-            kind = rec[0]
-            if kind == 'T':
-                vals.append(1)
-            elif kind == 'F':
-                vals.append(0)
-            elif kind == 'L':
-                v = valuation.get(rec[1])
-                if v is None:
-                    raise ValueError(f"valuation misses variable {rec[1]}")
-                vals.append(int(v) if rec[2] else 1 - int(v))
-            elif kind == 'N':
-                vals.append(1 - vals[rec[1]])
-            elif kind == 'A':
-                vals.append(int(all(vals[c] for c in rec[1])))
-            else:
-                vals.append(int(any(vals[c] for c in rec[1])))
-        return vals[self.output]
+        def literal(var, positive):
+            v = valuation.get(var)
+            if v is None:
+                raise ValueError(f"valuation misses variable {var}")
+            return bool(v) == positive
+
+        return int(truth_values(self.nodes, literal)[self.output])
 
     def decision_var(self, gate: int) -> Optional[int]:
         """Variable tested by a decision-shaped OR gate, else None.
@@ -249,27 +218,14 @@ class BoolCircuit:
                 and self.universe == other.universe)
 
 
-class CircuitBuilder:
-    """Mutable constructor with hash-consing; finish() freezes.
-
-    Children must exist before their parents, so the node list is always
-    topologically sorted.
-    """
+class CircuitBuilder(Builder):
+    """Mutable constructor with hash-consing; finish() freezes."""
 
     def __init__(self, universe: Iterable[int] | int):
+        super().__init__()
         if isinstance(universe, int):
             universe = range(universe)
         self.universe = frozenset(universe)
-        self.nodes = []
-        self._intern = {}
-
-    def _add(self, rec) -> int:
-        nid = self._intern.get(rec)
-        if nid is None:
-            nid = len(self.nodes)
-            self.nodes.append(rec)
-            self._intern[rec] = nid
-        return nid
 
     def true(self) -> int:
         return self._add(TRUE)
@@ -305,33 +261,8 @@ class CircuitBuilder:
 
     def finish(self, output: int, var_names: Optional[tuple] = None) -> BoolCircuit:
         """Freeze, keeping only nodes reachable from the output."""
-        keep = [False] * len(self.nodes)
-        stack = [output]
-        keep[output] = True
-        while stack:
-            rec = self.nodes[stack.pop()]
-            if rec[0] in ('A', 'O'):
-                for c in rec[1]:
-                    if not keep[c]:
-                        keep[c] = True
-                        stack.append(c)
-            elif rec[0] == 'N':
-                if not keep[rec[1]]:
-                    keep[rec[1]] = True
-                    stack.append(rec[1])
-        remap = {}
-        out_nodes = []
-        for nid, rec in enumerate(self.nodes):
-            if not keep[nid]:
-                continue
-            if rec[0] in ('A', 'O'):
-                rec = (rec[0], tuple(remap[c] for c in rec[1]))
-            elif rec[0] == 'N':
-                rec = ('N', remap[rec[1]])
-            remap[nid] = len(out_nodes)
-            out_nodes.append(rec)
-        return BoolCircuit(tuple(out_nodes), remap[output], self.universe,
-                           var_names)
+        nodes, output = self.prune(output)
+        return BoolCircuit(nodes, output, self.universe, var_names)
 
 
 def varset(circuit: BoolCircuit, gate: int) -> frozenset:
@@ -388,26 +319,15 @@ def condition(circuit: BoolCircuit, partial: PartialValuation) -> BoolCircuit:
     if extra:
         raise ValueError(f"assigned variables outside universe: {sorted(extra)}")
     b = CircuitBuilder(circuit.universe - set(partial))
-    out = []
-    for rec in circuit.nodes:
-        kind = rec[0]
-        if kind == 'T':
-            out.append(b.true())
-        elif kind == 'F':
-            out.append(b.false())
-        elif kind == 'L':
-            var = rec[1]
-            if var in partial:
-                bit = int(partial[var])
-                out.append(b.true() if bit == int(rec[2]) else b.false())
-            else:
-                out.append(b.literal(var, rec[2]))
-        elif kind == 'N':
-            out.append(b.neg(out[rec[1]]))
-        elif kind == 'A':
-            out.append(b.conj(tuple(out[c] for c in rec[1])))
-        else:
-            out.append(b.disj(tuple(out[c] for c in rec[1])))
+
+    def leaf(rec) -> int:
+        if rec[0] == 'L':
+            if rec[1] not in partial:
+                return b.literal(rec[1], rec[2])
+            return b.true() if int(partial[rec[1]]) == int(rec[2]) else b.false()
+        return b.true() if rec[0] == 'T' else b.false()
+
+    out = rebuild(circuit.nodes, leaf, {'A': b.conj, 'O': b.disj, 'N': b.neg})
     return b.finish(out[circuit.output], circuit.var_names)
 
 
@@ -466,49 +386,30 @@ def smooth(circuit: BoolCircuit) -> BoolCircuit:
 
 # -- classification -----------------------------------------------------------
 
-def _binary_splits(circuit: BoolCircuit):
-    """And-gate variable splits, k-ary gates folded left to right.
-
-    Yields (left_vars, right_vars) pairs with both sides nonempty.
-    """
-    vsets = circuit.varsets()
-    for rec in circuit.nodes:
-        if rec[0] != 'A':
-            continue
-        kids = rec[1]
-        suffixes = [frozenset()] * len(kids)
-        acc = set()
-        for i in range(len(kids) - 1, 0, -1):
-            acc.update(vsets[kids[i]])
-            suffixes[i - 1] = frozenset(acc)
-        for i in range(len(kids) - 1):
-            left = vsets[kids[i]]
-            if left and suffixes[i]:
-                yield (left, suffixes[i])
+def _split_fits(vtree: VTree, left: frozenset, right: frozenset) -> bool:
+    """The lowest vtree node covering the split puts one side under each
+    of its children."""
+    node = vtree
+    union = left | right
+    while not node.is_leaf():
+        if union <= node.left.vars:
+            node = node.left
+        elif union <= node.right.vars:
+            node = node.right
+        else:
+            break
+    if node.is_leaf():
+        return False
+    return ((left <= node.left.vars and right <= node.right.vars)
+            or (left <= node.right.vars and right <= node.left.vars))
 
 
 def respects_vtree(circuit: BoolCircuit, vtree: VTree) -> bool:
     """Check that every AND split fits under some vtree node."""
     if not circuit.universe <= vtree.vars:
         return False
-    for left, right in _binary_splits(circuit):
-        node = vtree
-        union = left | right
-        # descend to the lowest vtree node covering the split
-        while not node.is_leaf():
-            if union <= node.left.vars:
-                node = node.left
-            elif union <= node.right.vars:
-                node = node.right
-            else:
-                break
-        if node.is_leaf():
-            return False
-        ok = ((left <= node.left.vars and right <= node.right.vars)
-              or (left <= node.right.vars and right <= node.left.vars))
-        if not ok:
-            return False
-    return True
+    return all(_split_fits(vtree, left, right) for left, right
+               in binary_splits(circuit.nodes, circuit.varsets(), 'A'))
 
 
 class _UnionFind:
@@ -573,18 +474,30 @@ def _synthesize_vtree(variables: frozenset, splits: list) -> Optional[VTree]:
     return VTree.internal(left_tree, right_tree)
 
 
+def _synthesized_witness(variables: frozenset, splits: list) -> Optional[VTree]:
+    """A vtree over the variables that every split fits, found greedily;
+    None does not prove that there is none."""
+    vtree = _synthesize_vtree(variables, splits)
+    if vtree is not None and all(_split_fits(vtree, left, right)
+                                 for left, right in splits):
+        return vtree
+    return None
+
+
 def _detect_obdd_order(circuit: BoolCircuit) -> Optional[tuple]:
     """Global decision order, if the circuit is a pure decision diagram.
 
     Requires every OR to be a decision gate, every AND to be one of the two
     gadgets of a decision gate (decision literal plus a continuation that is
     itself a decision gate or a constant), and the decision variables to
-    admit one topological order along all paths.
+    admit one topological order along all paths.  In such a diagram every
+    literal sits in a gadget, so the variables of a continuation are the
+    decision variables tested in it.
     """
     nodes = circuit.nodes
     if nodes[circuit.output][0] not in ('O', 'T', 'F'):
         return None
-    dec_var = {}
+    decisions = []         # (variable, continuations) per decision gate
     gadget_ands = set()
     for nid, rec in enumerate(nodes):
         if rec[0] == 'N':
@@ -594,7 +507,7 @@ def _detect_obdd_order(circuit: BoolCircuit) -> Optional[tuple]:
         var = circuit.decision_var(nid)
         if var is None:
             return None
-        dec_var[nid] = var
+        conts = []
         for c in rec[1]:
             gadget_ands.add(c)
             crec = nodes[c]
@@ -605,29 +518,18 @@ def _detect_obdd_order(circuit: BoolCircuit) -> Optional[tuple]:
             cont = [g for g in crec[1] if g not in lit]
             if len(lit) != 1 or nodes[cont[0]][0] not in ('O', 'T', 'F'):
                 return None
+            conts.append(cont[0])
+        decisions.append((var, conts))
     for nid, rec in enumerate(nodes):
         if rec[0] == 'A' and nid not in gadget_ands:
             return None
-    # below[nid]: decision variables tested at or below the node
-    below = []
-    for nid, rec in enumerate(nodes):
-        if rec[0] in ('T', 'F', 'L'):
-            below.append(frozenset())
-        else:
-            acc = frozenset()
-            for c in rec[1]:
-                acc |= below[c]
-            if nid in dec_var:
-                acc |= {dec_var[nid]}
-            below.append(acc)
+    vsets = circuit.varsets()
     succ = {}
-    for nid, var in dec_var.items():
-        strictly_below = frozenset()
-        for c in nodes[nid][1]:
-            strictly_below |= below[c]
-        if var in strictly_below:
+    for var, conts in decisions:
+        later = vsets[conts[0]] | vsets[conts[1]]
+        if var in later:
             return None
-        succ.setdefault(var, set()).update(strictly_below)
+        succ.setdefault(var, set()).update(later)
     # Kahn toposort, smallest variable first for determinism
     vars_all = set(succ)
     for later in succ.values():
@@ -701,7 +603,10 @@ def classify(circuit: BoolCircuit, hint: Optional[VTree] = None) -> ClassReport:
     Checks NNF shape, decomposability of every AND gate, the decision
     shape of every OR gate, and smoothness.  A vtree witness is verified
     when hinted, otherwise synthesized best-effort; absence of a witness is
-    reported, never treated as a refutation.
+    reported, never treated as a refutation.  A detected OBDD order needs
+    no check: its caterpillar vtree holds by construction, because every
+    AND is a decision gadget whose literal comes before all the variables
+    of its continuation.
     """
     if hint is None and circuit._report is not None:
         return circuit._report
@@ -715,16 +620,10 @@ def classify(circuit: BoolCircuit, hint: Optional[VTree] = None) -> ClassReport:
         if all_or_decision and circuit.universe:
             obdd_order = _detect_obdd_order(circuit)
             if obdd_order is not None and witness is None:
-                cand = VTree.right_linear(obdd_order)
-                if respects_vtree(circuit, cand):
-                    witness = cand
-                else:
-                    obdd_order = None
+                witness = VTree.right_linear(obdd_order)
         if witness is None and hint is None and circuit.universe:
-            cand = _synthesize_vtree(circuit.universe,
-                                     list(_binary_splits(circuit)))
-            if cand is not None and respects_vtree(circuit, cand):
-                witness = cand
+            witness = _synthesized_witness(circuit.universe, list(binary_splits(
+                circuit.nodes, circuit.varsets(), 'A')))
 
     report = ClassReport(is_nnf=is_nnf, is_decomposable=is_decomposable,
                          all_or_decision=all_or_decision, is_smooth=is_smooth,
@@ -751,24 +650,10 @@ def check_determinism_semantic(circuit: BoolCircuit, max_vars: int = 20) -> Dete
                 if rec[0] == 'O' and len(rec[1]) > 1]
     if not or_gates:
         return DeterminismVerdict('deterministic')
-    nodes = circuit.nodes
     for m in range(1 << n):
         val = {svars[j]: (m >> (n - 1 - j)) & 1 for j in range(n)}
-        vals = []
-        for rec in nodes:
-            kind = rec[0]
-            if kind == 'T':
-                vals.append(1)
-            elif kind == 'F':
-                vals.append(0)
-            elif kind == 'L':
-                vals.append(val[rec[1]] if rec[2] else 1 - val[rec[1]])
-            elif kind == 'N':
-                vals.append(1 - vals[rec[1]])
-            elif kind == 'A':
-                vals.append(int(all(vals[c] for c in rec[1])))
-            else:
-                vals.append(int(any(vals[c] for c in rec[1])))
+        vals = truth_values(circuit.nodes,
+                            lambda var, positive: val[var] == positive)
         for nid, kids in or_gates:
             if sum(vals[c] for c in kids) >= 2:
                 return DeterminismVerdict('notDeterministic', val)

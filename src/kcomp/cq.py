@@ -447,9 +447,7 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
     that do not witness free-connexity still give a correct circuit, only
     the linear size guarantee is lost.
     """
-    for rel, _ in query.atoms:
-        if rel not in db.relations:
-            raise UnknownRelation(f"relation {rel} not in the database")
+    _check_relations(query, db)
     if order is None:
         if is_free_connex(query):
             order = elimination_order(query)
@@ -639,29 +637,45 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
 
 # -- answer wrappers ----------------------------------------------------------------------
 
-def _materialize(query: ConjunctiveQuery, db: Database) -> list:
-    """Backtracking join; answers as dicts over the head variables."""
-    for rel, _ in query.atoms:
+def _check_relations(query: ConjunctiveQuery, db: Database) -> None:
+    """Every atom names a relation of the database, with its arity."""
+    for rel, vs in query.atoms:
         if rel not in db.relations:
             raise UnknownRelation(f"relation {rel} not in the database")
-    answers = set()
+        arity = db.arity[rel]
+        if arity is not None and arity != len(vs):
+            raise ArityMismatch(f"relation {rel} has arity {arity}, "
+                                f"the query uses it with {len(vs)}")
 
-    def extend(idx: int, binding: dict):
-        if idx == len(query.atoms):
-            answers.add(tuple(binding[v] for v in query.head))
+
+def homomorphisms(atoms: tuple, by_rel: dict) -> Iterator[tuple]:
+    """Backtracking join: yield (binding, used) for every homomorphism of
+    the atoms into the facts of `by_rel` (relation -> facts), with binding
+    the variable -> value map and used the fact matched by each atom.
+    Facts of another length than their atom are skipped."""
+    def extend(idx: int, binding: dict, used: tuple):
+        if idx == len(atoms):
+            yield binding, used
             return
-        rel, vs = query.atoms[idx]
-        for fact in db.relations[rel]:
+        rel, vs = atoms[idx]
+        for fact in by_rel.get(rel, ()):
+            if len(fact) != len(vs):
+                continue
             new = dict(binding)
-            ok = True
             for var, value in zip(vs, fact):
                 if new.setdefault(var, value) != value:
-                    ok = False
                     break
-            if ok:
-                extend(idx + 1, new)
+            else:
+                yield from extend(idx + 1, new, used + (fact,))
 
-    extend(0, {})
+    return extend(0, {}, ())
+
+
+def _materialize(query: ConjunctiveQuery, db: Database) -> list:
+    """Backtracking join; answers as dicts over the head variables."""
+    _check_relations(query, db)
+    answers = {tuple(binding[v] for v in query.head)
+               for binding, _ in homomorphisms(query.atoms, db.relations)}
     ordered = sorted(answers,
                      key=lambda t: tuple(domain_sort_key(v) for v in t))
     return [dict(zip(query.head, t)) for t in ordered]
@@ -672,25 +686,7 @@ def query_holds(query: ConjunctiveQuery, facts: Iterable[tuple]) -> bool:
     by_rel = {}
     for rel, values in facts:
         by_rel.setdefault(rel, []).append(tuple(values))
-
-    def extend(idx: int, binding: dict) -> bool:
-        if idx == len(query.atoms):
-            return True
-        rel, vs = query.atoms[idx]
-        for fact in by_rel.get(rel, ()):
-            if len(fact) != len(vs):
-                continue
-            new = dict(binding)
-            ok = True
-            for var, value in zip(vs, fact):
-                if new.setdefault(var, value) != value:
-                    ok = False
-                    break
-            if ok and extend(idx + 1, new):
-                return True
-        return False
-
-    return extend(0, {})
+    return next(homomorphisms(query.atoms, by_rel), None) is not None
 
 
 def answer_count(query: ConjunctiveQuery, db: Database) -> int:

@@ -17,6 +17,7 @@ byte-identical.
 
 from __future__ import annotations
 
+from ._dag import resolve
 from .circuits import BoolCircuit, CircuitBuilder
 from .errors import InputFormatError
 
@@ -89,20 +90,14 @@ def read_nnf(text: str) -> BoolCircuit:
             if args[0] == 0:
                 ids.append(b.true())
             else:
-                try:
-                    ids.append(b.conj(tuple(ids[i] for i in args[1:])))
-                except IndexError:
-                    raise InputFormatError(f"line {lineno}: forward reference") from None
+                ids.append(b.conj(resolve(ids, args[1:], f"line {lineno}")))
         elif tag == 'O':
             if len(args) < 2 or args[1] != len(args) - 2:
                 raise InputFormatError(f"line {lineno}: bad OR arity")
             if args[1] == 0:
                 ids.append(b.false())
             else:
-                try:
-                    ids.append(b.disj(tuple(ids[i] for i in args[2:])))
-                except IndexError:
-                    raise InputFormatError(f"line {lineno}: forward reference") from None
+                ids.append(b.disj(resolve(ids, args[2:], f"line {lineno}")))
         else:
             raise InputFormatError(f"line {lineno}: unknown node tag {tag!r}")
     if not ids:

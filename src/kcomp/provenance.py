@@ -24,10 +24,11 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
+from ._dag import rebuild
 from .circuits import (BoolCircuit, CircuitBuilder, DNFFormula, condition,
                        smooth)
 from .cq import (ConjunctiveQuery, Database, compile_cq, domain_sort_key,
-                 query_holds)
+                 homomorphisms, query_holds)
 from .errors import (InputFormatError, NotHierarchical, SelfJoinPresent,
                      TargetExogenous, TooLargeForBruteForce)
 from .queries import ApproxParams, WeightMap, approx_count_dnf, model_count, wmc
@@ -168,23 +169,13 @@ def provenance_circuit_sjf(query: ConjunctiveQuery, db: Database) -> BoolCircuit
     id_attr_idx = {rel_circuit.attr_index[v] for v in lifted.id_vars
                    if v in rel_circuit.attr_index}
     b = CircuitBuilder(len(lifted.fact_vars))
-    out = []
-    for rec in rel_circuit.nodes:
-        kind = rec[0]
-        if kind == 'I':
-            if rec[1] in id_attr_idx:
-                fact_id = rel_circuit.domains[rec[1]][rec[2]]
-                out.append(b.literal(fact_id, True))
-            else:
-                out.append(b.true())
-        elif kind == '1':
-            out.append(b.true())
-        elif kind == '0':
-            out.append(b.false())
-        elif kind == 'J':
-            out.append(b.conj(tuple(out[c] for c in rec[1])))
-        else:
-            out.append(b.disj(tuple(out[c] for c in rec[1])))
+
+    def leaf(rec) -> int:
+        if rec[0] == 'I' and rec[1] in id_attr_idx:
+            return b.literal(rel_circuit.domains[rec[1]][rec[2]], True)
+        return b.false() if rec[0] == '0' else b.true()
+
+    out = rebuild(rel_circuit.nodes, leaf, {'J': b.conj, 'U': b.disj})
     return b.finish(out[rel_circuit.output], var_names=lifted.fact_vars.labels())
 
 
@@ -198,31 +189,10 @@ def provenance_dnf(queries, db: Database) -> DNFFormula:
         queries = [queries]
     fact_vars = FactVar(db)
     terms = set()
-
     for query in queries:
-        by_rel = {}
-        for rel, fs in db.relations.items():
-            by_rel[rel] = sorted(fs, key=lambda f: tuple(domain_sort_key(v) for v in f))
-
-        def extend(idx: int, binding: dict, used: frozenset):
-            if idx == len(query.atoms):
-                terms.add(used)
-                return
-            rel, vs = query.atoms[idx]
-            for fact in by_rel.get(rel, ()):
-                if len(fact) != len(vs):
-                    continue
-                new = dict(binding)
-                ok = True
-                for var, value in zip(vs, fact):
-                    if new.setdefault(var, value) != value:
-                        ok = False
-                        break
-                if ok:
-                    extend(idx + 1, new,
-                           used | {fact_vars.var_of[(rel, fact)]})
-
-        extend(0, {}, frozenset())
+        for _, used in homomorphisms(query.atoms, db.relations):
+            terms.add(frozenset(fact_vars.var_of[(rel, fact)]
+                                for (rel, _), fact in zip(query.atoms, used)))
     dnf_terms = sorted({frozenset((v, True) for v in t) for t in terms},
                        key=lambda t: sorted(v for v, _ in t))
     return DNFFormula(len(fact_vars), tuple(dnf_terms))

@@ -23,6 +23,7 @@ from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
+from ._dag import truth_values
 from .circuits import BoolCircuit, DNFFormula, Valuation, core_flags
 from .errors import (IncompleteWeightMap, NotDNNF, NotSmoothDeterministicDNNF,
                      Unsatisfiable)
@@ -111,20 +112,7 @@ def _require_smooth_det(circuit: BoolCircuit, assume_deterministic: bool) -> tup
 # -- SAT and witness ----------------------------------------------------------
 
 def _sat_flags(circuit: BoolCircuit) -> list:
-    flags = []
-    for rec in circuit.nodes:
-        kind = rec[0]
-        if kind == 'T':
-            flags.append(True)
-        elif kind == 'F':
-            flags.append(False)
-        elif kind == 'L':
-            flags.append(True)
-        elif kind == 'A':
-            flags.append(all(flags[c] for c in rec[1]))
-        else:
-            flags.append(any(flags[c] for c in rec[1]))
-    return flags
+    return truth_values(circuit.nodes, lambda var, positive: True)
 
 
 def satisfiable(circuit: BoolCircuit) -> bool:
@@ -144,7 +132,11 @@ def witness(circuit: BoolCircuit) -> Optional[Valuation]:
     while stack:
         rec = circuit.nodes[stack.pop()]
         kind = rec[0]
-        if kind == 'L':
+        if kind == 'N':
+            rec = circuit.nodes[rec[1]]
+            if rec[0] == 'L':
+                val[rec[1]] = 0 if rec[2] else 1
+        elif kind == 'L':
             val[rec[1]] = 1 if rec[2] else 0
         elif kind == 'A':
             stack.extend(rec[1])
@@ -324,26 +316,11 @@ def _gen_conditioning(circuit: BoolCircuit) -> Iterator[Valuation]:
     O(n |C|) and no duplicates can occur.
     """
     svars = circuit.sorted_vars()
-    nodes = circuit.nodes
-
-    def sat_under(assignment: dict) -> bool:
-        vals = []
-        for rec in nodes:
-            kind = rec[0]
-            if kind == 'T':
-                vals.append(True)
-            elif kind == 'F':
-                vals.append(False)
-            elif kind == 'L':
-                bit = assignment.get(rec[1])
-                vals.append(True if bit is None else bool(bit) == rec[2])
-            elif kind == 'A':
-                vals.append(all(vals[c] for c in rec[1]))
-            else:
-                vals.append(any(vals[c] for c in rec[1]))
-        return vals[circuit.output]
-
     assignment = {}
+
+    def literal(var, positive) -> bool:
+        bit = assignment.get(var)
+        return bit is None or bool(bit) == positive
 
     def descend(idx: int) -> Iterator[Valuation]:
         if idx == len(svars):
@@ -352,7 +329,7 @@ def _gen_conditioning(circuit: BoolCircuit) -> Iterator[Valuation]:
         var = svars[idx]
         for bit in (0, 1):
             assignment[var] = bit
-            if sat_under(assignment):
+            if truth_values(circuit.nodes, literal)[circuit.output]:
                 yield from descend(idx + 1)
             del assignment[var]
 

@@ -1,11 +1,13 @@
 """Multivalued circuits computing relations over finite ordered domains.
 
 Nodes mirror the Boolean case: inputs assert one attribute/value pair,
-joins generalize AND, extended unions generalize OR.  A union child that
-misses attributes of its gate is extended, by default over the full domain
-of each missing attribute; a circuit built with zero-suppressed defaults
-extends with one fixed default value per attribute instead.  The same rule
-extends the output gate to the attribute universe.
+joins generalize AND, extended unions generalize OR; the node model,
+builder and DAG passes shared with Boolean circuits live in `_dag`.  A
+union child that misses attributes of its gate is extended, by default
+over the full domain of each missing attribute; a circuit built with
+zero-suppressed defaults extends with one fixed default value per
+attribute instead.  The same rule extends the output gate to the
+attribute universe.
 
 Node records:
 
@@ -30,9 +32,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .circuits import BoolCircuit, CircuitBuilder
-from .errors import (DomainViolation, NonBooleanDomain, NotCountable,
-                     NotDecomposable, NotOrdered, OutOfRange)
+from ._dag import Builder, binary_splits, edge_count, rebuild, resolve, var_sets
+from .circuits import BoolCircuit, CircuitBuilder, _synthesized_witness
+from .errors import (DomainViolation, InputFormatError, NonBooleanDomain,
+                     NotCountable, NotDecomposable, NotOrdered, OutOfRange)
 
 
 class RelCircuit:
@@ -55,8 +58,7 @@ class RelCircuit:
     @property
     def size(self) -> int:
         if self._size is None:
-            self._size = sum(len(rec[1]) for rec in self.nodes
-                             if rec[0] in ('U', 'J'))
+            self._size = edge_count(self.nodes)
         return self._size
 
     def ext_domain_size(self, attr: int) -> int:
@@ -69,20 +71,7 @@ class RelCircuit:
 
     def attrsets(self) -> tuple:
         if self._attrsets is None:
-            sets = []
-            for rec in self.nodes:
-                if rec[0] == 'I':
-                    sets.append(frozenset((rec[1],)))
-                elif rec[0] in ('1', '0'):
-                    sets.append(frozenset())
-                elif len(rec[1]) == 1:
-                    sets.append(sets[rec[1][0]])
-                else:
-                    acc = set()
-                    for c in rec[1]:
-                        acc.update(sets[c])
-                    sets.append(frozenset(acc))
-            self._attrsets = tuple(sets)
+            self._attrsets = var_sets(self.nodes)
         return self._attrsets
 
 
@@ -95,11 +84,12 @@ class RelClassReport:
     structured_witness: Optional[object] = None
 
 
-class RelBuilder:
+class RelBuilder(Builder):
     """Hash-consing builder; finish() prunes unreachable nodes."""
 
     def __init__(self, attrs: Iterable[str], domains: dict,
                  defaults: Optional[dict] = None):
+        super().__init__()
         self.attrs = tuple(attrs)
         self.attr_index = {a: i for i, a in enumerate(self.attrs)}
         if len(self.attr_index) != len(self.attrs):
@@ -119,16 +109,6 @@ class RelBuilder:
         else:
             self.defaults = tuple(self.value_index[i][defaults[a]]
                                   for i, a in enumerate(self.attrs))
-        self.nodes = []
-        self._intern = {}
-
-    def _add(self, rec) -> int:
-        nid = self._intern.get(rec)
-        if nid is None:
-            nid = len(self.nodes)
-            self.nodes.append(rec)
-            self._intern[rec] = nid
-        return nid
 
     def input(self, attr: str, value) -> int:
         i = self.attr_index[attr]
@@ -150,27 +130,8 @@ class RelBuilder:
         return self._add(('J', tuple(children)))
 
     def finish(self, output: int) -> RelCircuit:
-        keep = [False] * len(self.nodes)
-        keep[output] = True
-        stack = [output]
-        while stack:
-            rec = self.nodes[stack.pop()]
-            if rec[0] in ('U', 'J'):
-                for c in rec[1]:
-                    if not keep[c]:
-                        keep[c] = True
-                        stack.append(c)
-        remap = {}
-        out = []
-        for nid, rec in enumerate(self.nodes):
-            if not keep[nid]:
-                continue
-            if rec[0] in ('U', 'J'):
-                rec = (rec[0], tuple(remap[c] for c in rec[1]))
-            remap[nid] = len(out)
-            out.append(rec)
-        return RelCircuit(tuple(out), remap[output], self.attrs, self.domains,
-                          self.defaults)
+        nodes, output = self.prune(output)
+        return RelCircuit(nodes, output, self.attrs, self.domains, self.defaults)
 
 
 # -- evaluation -----------------------------------------------------------------
@@ -273,6 +234,7 @@ def classify_rel(circuit: RelCircuit) -> RelClassReport:
     decomposable = True
     smooth_union = True
     decision_only = True
+    in_order = True        # every decision tests its gate's first attribute
     for nid, rec in enumerate(circuit.nodes):
         if rec[0] == 'J':
             total = sum(len(attrsets[c]) for c in rec[1])
@@ -282,80 +244,26 @@ def classify_rel(circuit: RelCircuit) -> RelClassReport:
             gate = attrsets[nid]
             if any(attrsets[c] != gate for c in rec[1]):
                 smooth_union = False
-            if decision_attr(circuit, nid) is None:
+            attr = decision_attr(circuit, nid)
+            if attr is None:
                 decision_only = False
+            elif min(gate) != attr:
+                in_order = False
 
     ordered = None
-    if decision_only and decomposable:
-        ordered = _ordered_witness(circuit)
+    if decision_only and decomposable and in_order:
+        ordered = circuit.attrs
 
     structured = None
     if decomposable:
-        structured = _structured_witness(circuit)
+        structured = _synthesized_witness(
+            frozenset(range(len(circuit.attrs))),
+            list(binary_splits(circuit.nodes, attrsets, 'J')))
 
     report = RelClassReport(decomposable, smooth_union, decision_only,
                             ordered, structured)
     circuit._report = report
     return report
-
-
-def _ordered_witness(circuit: RelCircuit) -> Optional[tuple]:
-    """The circuit's attribute list, if decisions respect it."""
-    attrsets = circuit.attrsets()
-    for nid, rec in enumerate(circuit.nodes):
-        if rec[0] != 'U':
-            continue
-        attr = decision_attr(circuit, nid)
-        if attr is None:
-            return None
-        if any(other < attr for other in attrsets[nid] if other != attr):
-            return None
-    return circuit.attrs
-
-
-def _structured_witness(circuit: RelCircuit):
-    """Best-effort vtree over attribute indexes, via the Boolean machinery."""
-    from .circuits import _synthesize_vtree
-
-    attrsets = circuit.attrsets()
-    splits = []
-    for rec in circuit.nodes:
-        if rec[0] != 'J':
-            continue
-        kids = rec[1]
-        for i in range(len(kids) - 1):
-            left = attrsets[kids[i]]
-            right = frozenset()
-            for c in kids[i + 1:]:
-                right |= attrsets[c]
-            if left and right:
-                splits.append((left, right))
-    universe = frozenset(range(len(circuit.attrs)))
-    if not universe:
-        return None
-    vtree = _synthesize_vtree(universe, splits)
-    if vtree is None:
-        return None
-
-    def respects(split):
-        left, right = split
-        node = vtree
-        union = left | right
-        while not node.is_leaf():
-            if union <= node.left.vars:
-                node = node.left
-            elif union <= node.right.vars:
-                node = node.right
-            else:
-                break
-        if node.is_leaf():
-            return False
-        return ((left <= node.left.vars and right <= node.right.vars)
-                or (left <= node.right.vars and right <= node.left.vars))
-
-    if all(respects(s) for s in splits):
-        return vtree
-    return None
 
 
 # -- counting --------------------------------------------------------------------
@@ -607,23 +515,13 @@ def project_away(circuit: RelCircuit, attrs: Iterable[str]) -> RelCircuit:
                    None if circuit.defaults is None else
                    {circuit.attrs[i]: circuit.domains[i][circuit.defaults[i]]
                     for i in keep})
-    out = []
-    for rec in circuit.nodes:
-        kind = rec[0]
-        if kind == 'I':
-            if rec[1] in drop_idx:
-                out.append(b.unit())
-            else:
-                out.append(b.input(circuit.attrs[rec[1]],
-                                   circuit.domains[rec[1]][rec[2]]))
-        elif kind == '1':
-            out.append(b.unit())
-        elif kind == '0':
-            out.append(b.empty())
-        elif kind == 'J':
-            out.append(b.join(tuple(out[c] for c in rec[1])))
-        else:
-            out.append(b.union(tuple(out[c] for c in rec[1])))
+
+    def leaf(rec) -> int:
+        if rec[0] == 'I' and rec[1] not in drop_idx:
+            return b.input(circuit.attrs[rec[1]], circuit.domains[rec[1]][rec[2]])
+        return b.empty() if rec[0] == '0' else b.unit()
+
+    out = rebuild(circuit.nodes, leaf, {'J': b.join, 'U': b.union})
     return b.finish(out[circuit.output])
 
 
@@ -643,19 +541,13 @@ def to_boolean(circuit: RelCircuit) -> BoolCircuit:
         if dom not in ((0, 1), ('0', '1')):
             raise NonBooleanDomain(f"attribute {a!r} has domain {dom}, not (0, 1)")
     b = CircuitBuilder(len(circuit.attrs))
-    out = []
-    for rec in circuit.nodes:
-        kind = rec[0]
-        if kind == 'I':
-            out.append(b.literal(rec[1], rec[2] == 1))
-        elif kind == '1':
-            out.append(b.true())
-        elif kind == '0':
-            out.append(b.false())
-        elif kind == 'J':
-            out.append(b.conj(tuple(out[c] for c in rec[1])))
-        else:
-            out.append(b.disj(tuple(out[c] for c in rec[1])))
+
+    def leaf(rec) -> int:
+        if rec[0] == 'I':
+            return b.literal(rec[1], rec[2] == 1)
+        return b.true() if rec[0] == '1' else b.false()
+
+    out = rebuild(circuit.nodes, leaf, {'J': b.conj, 'U': b.disj})
     return b.finish(out[circuit.output])
 
 
@@ -701,8 +593,6 @@ def write_rel(circuit: RelCircuit) -> str:
 
 def read_rel(text: str) -> RelCircuit:
     """Parse the write_rel format; domain values come back as text."""
-    from .errors import InputFormatError
-
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith('#')]
     if not lines or not lines[0].startswith('rel'):
@@ -734,6 +624,8 @@ def read_rel(text: str) -> RelCircuit:
     defaults = None
     if mode_parts[0] != 'mode':
         raise InputFormatError("expected a mode line after the attributes")
+    if len(mode_parts) < 2:
+        raise InputFormatError("the mode line names no mode")
     if mode_parts[1] == 'zero':
         try:
             idxs = [int(t) for t in mode_parts[2:]]
@@ -741,6 +633,8 @@ def read_rel(text: str) -> RelCircuit:
             raise InputFormatError("bad default indexes") from None
         if len(idxs) != num_attrs:
             raise InputFormatError("one default index per attribute required")
+        if any(not 0 <= k < len(domains[a]) for a, k in zip(attrs, idxs)):
+            raise InputFormatError("default index out of range")
         defaults = {a: domains[a][k] for a, k in zip(attrs, idxs)}
     elif mode_parts[1] != 'full':
         raise InputFormatError(f"unknown mode {mode_parts[1]!r}")
@@ -770,10 +664,7 @@ def read_rel(text: str) -> RelCircuit:
             if args[0] == 0:
                 ids.append(b.empty() if tag == 'U' else b.unit())
             else:
-                try:
-                    kids = tuple(ids[i] for i in args[1:])
-                except IndexError:
-                    raise InputFormatError(f"node {lineno}: forward reference") from None
+                kids = resolve(ids, args[1:], f"node {lineno}")
                 ids.append(b.union(kids) if tag == 'U' else b.join(kids))
         else:
             raise InputFormatError(f"node {lineno}: unknown tag {tag!r}")
@@ -789,22 +680,16 @@ def from_boolean(circuit: BoolCircuit, attr_names: Optional[tuple] = None) -> Re
         attr_names = tuple(f"x{v}" for v in svars)
     name_of = dict(zip(svars, attr_names))
     b = RelBuilder([name_of[v] for v in svars], {a: [0, 1] for a in attr_names})
-    out = []
-    for rec in circuit.nodes:
-        kind = rec[0]
-        if kind == 'T':
-            out.append(b.unit())
-        elif kind == 'F':
-            out.append(b.empty())
-        elif kind == 'L':
-            out.append(b.input(name_of[rec[1]], 1 if rec[2] else 0))
-        elif kind == 'N':
-            child = circuit.nodes[rec[1]]
-            if child[0] != 'L':
+
+    def leaf(rec) -> int:
+        if rec[0] == 'N':
+            rec = circuit.nodes[rec[1]]
+            if rec[0] != 'L':
                 raise ValueError("normalize to NNF before converting")
-            out.append(b.input(name_of[child[1]], 0 if child[2] else 1))
-        elif kind == 'A':
-            out.append(b.join(tuple(out[c] for c in rec[1])))
-        else:
-            out.append(b.union(tuple(out[c] for c in rec[1])))
+            return b.input(name_of[rec[1]], 0 if rec[2] else 1)
+        if rec[0] == 'L':
+            return b.input(name_of[rec[1]], 1 if rec[2] else 0)
+        return b.unit() if rec[0] == 'T' else b.empty()
+
+    out = rebuild(circuit.nodes, leaf, {'A': b.join, 'O': b.union})
     return b.finish(out[circuit.output])

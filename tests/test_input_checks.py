@@ -1,0 +1,76 @@
+"""Malformed circuit files and queries that do not fit their database are
+rejected with a format error (CLI exit 2), never read as something else."""
+
+import pytest
+
+from kcomp.cli import main
+from kcomp.cq import Database, _materialize, compile_cq, parse_cq
+from kcomp.errors import ArityMismatch, InputFormatError
+from kcomp.nnf_io import read_nnf
+from kcomp.relational import read_rel
+
+REL_HEAD = "rel 1 3 2\nattr x 2 0 1\nmode full\nI 0 0\nI 0 1\n"
+
+
+def test_read_nnf_rejects_negative_child_ids():
+    with pytest.raises(InputFormatError):
+        read_nnf("nnf 3 2 1\nL 1\nL -1\nA 2 -1 -2\n")
+    with pytest.raises(InputFormatError):
+        read_nnf("nnf 3 2 1\nL 1\nL -1\nO 0 2 0 -1\n")
+
+
+def test_read_rel_rejects_negative_child_ids():
+    with pytest.raises(InputFormatError):
+        read_rel(REL_HEAD + "U 2 -1 -2\n")
+    assert read_rel(REL_HEAD + "U 2 0 1\n").size == 2
+
+
+def test_read_rel_rejects_mode_line_without_mode():
+    with pytest.raises(InputFormatError):
+        read_rel("rel 1 1 0\nattr x 2 0 1\nmode\nI 0 0\n")
+
+
+def test_read_rel_rejects_default_index_out_of_range():
+    with pytest.raises(InputFormatError):
+        read_rel("rel 1 1 0\nattr x 2 0 1\nmode zero 2\nI 0 0\n")
+    with pytest.raises(InputFormatError):
+        read_rel("rel 1 1 0\nattr x 2 0 1\nmode zero -1\nI 0 0\n")
+
+
+def test_negative_child_id_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.nnf"
+    path.write_text("nnf 3 2 1\nL 1\nL -1\nA 2 -1 -2\n")
+    assert main(['count', '--nnf', str(path)]) == 2
+    assert capsys.readouterr().err.startswith('error:')
+
+
+DB = {'R': {('a', 'b'), ('b', 'c')}, 'S': {('c', 'd')}, 'T': set()}
+
+
+@pytest.mark.parametrize('text', ["Q(x) :- R(x, y, z).", "Q(x) :- R(x).",
+                                  "Q(x, w) :- R(x, y), S(y, z, w)."])
+def test_atom_arity_must_match_the_relation(text):
+    query = parse_cq(text)
+    with pytest.raises(ArityMismatch):
+        compile_cq(query, Database(DB))
+    with pytest.raises(ArityMismatch):
+        _materialize(query, Database(DB))
+
+
+def test_relation_without_facts_takes_any_arity():
+    query = parse_cq("Q(x) :- R(x, y), T(y, z, w).")
+    assert _materialize(query, Database(DB)) == []
+    assert compile_cq(query, Database(DB)).size == 0
+
+
+@pytest.mark.parametrize('text', ["Q(x) :- R(x, y, z).", "Q(x) :- R(x)."])
+def test_cq_count_arity_mismatch_exits_2(tmp_path, capsys, text):
+    query = tmp_path / "q.cq"
+    query.write_text(text + "\n")
+    db = tmp_path / "db.tsv"
+    db.write_text("R\ta\tb\nR\tb\tc\n")
+    code = main(['cq-count', '--query', str(query), '--db', str(db)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith('error:') and err.count('\n') == 1
+    assert 'Traceback' not in err
