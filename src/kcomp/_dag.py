@@ -98,10 +98,9 @@ def rebuild(nodes, leaf, gates: dict) -> list:
 def truth_values(nodes, literal) -> list:
     """Truth value of every node of a Boolean circuit, bottom-up.
 
-    literal(var, positive) is the value of an input literal.  A NOT over a
-    literal reads as the opposite literal, so a `literal` that answers True
-    for unassigned variables decides satisfiability of a decomposable NNF
-    circuit under a partial assignment.
+    literal(var, positive) is the value of an input literal, so a
+    `literal` that answers True for unassigned variables decides
+    satisfiability of a decomposable NNF circuit under a partial assignment.
     """
     vals = []
     for rec in nodes:
@@ -113,9 +112,7 @@ def truth_values(nodes, literal) -> list:
         elif kind == 'O':
             vals.append(any(vals[c] for c in rec[1]))
         elif kind == 'N':
-            child = nodes[rec[1]]
-            vals.append(literal(child[1], not child[2]) if child[0] == 'L'
-                        else not vals[rec[1]])
+            vals.append(not vals[rec[1]])
         else:
             vals.append(kind == 'T')
     return vals

@@ -15,7 +15,8 @@ Node records, children always before parents in the node list:
     ('L', var, pol)   literal, pol True for the positive literal
     ('A', children)   AND gate, children a tuple of node ids
     ('O', children)   OR gate
-    ('N', child)      NOT gate (eliminated by to_nnf)
+    ('N', child)      NOT gate over a gate (eliminated by to_nnf); the
+                      builder folds a NOT over an input into an input
 
 Size is the number of edges of the DAG.
 """
@@ -245,6 +246,12 @@ class CircuitBuilder(Builder):
         return self._add(('O', tuple(children)))
 
     def neg(self, child: int) -> int:
+        """NOT gate; over a literal or a constant it is the opposite one."""
+        rec = self.nodes[child]
+        if rec[0] == 'L':
+            return self._add(('L', rec[1], not rec[2]))
+        if rec[0] in ('T', 'F'):
+            return self._add(FALSE if rec[0] == 'T' else TRUE)
         return self._add(('N', child))
 
     def decision(self, var: int, if_false: int, if_true: int) -> int:
@@ -339,11 +346,13 @@ def smooth(circuit: BoolCircuit) -> BoolCircuit:
     Missing variables are conjoined as shared tautology gadgets, built in
     decision shape (x and 1) or (not x and 1) so that decision-only
     circuits stay decision-only.  Size grows by at most a factor linear in
-    the number of variables.
+    the number of variables.  An already smooth circuit is returned as is.
     """
-    is_nnf, is_decomposable, _, _ = core_flags(circuit)
+    is_nnf, is_decomposable, _, is_smooth = core_flags(circuit)
     if not is_nnf or not is_decomposable:
         raise NotDecomposable("smoothing requires a decomposable NNF circuit")
+    if is_smooth:
+        return circuit
     vsets = circuit.varsets()
     b = CircuitBuilder(circuit.universe)
     gadgets = {}
@@ -565,11 +574,7 @@ def core_flags(circuit: BoolCircuit) -> tuple:
     nodes = circuit.nodes
     vsets = circuit.varsets()
 
-    is_nnf = True
-    for rec in nodes:
-        if rec[0] == 'N' and nodes[rec[1]][0] not in ('L', 'T', 'F'):
-            is_nnf = False
-            break
+    is_nnf = not any(rec[0] == 'N' for rec in nodes)
 
     is_decomposable = True
     for nid, rec in enumerate(nodes):

@@ -15,20 +15,26 @@ Three representations are built here:
     the approximation path);
   * a read-once tree for hierarchical self-join-free queries, turned into
     an ordered decision diagram for the exact counting paths.
+
+On that decision diagram the Shapley values of all endogenous facts come
+from one bottom-up and one top-down derivative pass over polynomials in a
+common presence probability t (Owen's multilinear-extension identity), with
+no smoothing, conditioning or rebuilding per fact.  Queries that are not
+hierarchical or not self-join-free fall back to a brute force over subsets
+of the endogenous facts, capped at 15 of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Optional
 
 from ._dag import rebuild
-from .circuits import (BoolCircuit, CircuitBuilder, DNFFormula, condition,
-                       smooth)
-from .cq import (ConjunctiveQuery, Database, compile_cq, domain_sort_key,
-                 homomorphisms, query_holds)
+from .circuits import BoolCircuit, CircuitBuilder, DNFFormula, smooth
+from .cq import (ConjunctiveQuery, Database, _check_relations, compile_cq,
+                 domain_sort_key, homomorphisms, query_holds)
 from .errors import (InputFormatError, NotHierarchical, SelfJoinPresent,
                      TargetExogenous, TooLargeForBruteForce)
 from .queries import ApproxParams, WeightMap, approx_count_dnf, model_count, wmc
@@ -183,13 +189,15 @@ def provenance_dnf(queries, db: Database) -> DNFFormula:
     """Monotone DNF with one term per homomorphism image.
 
     Accepts one query or an iterable of queries (a union); duplicate fact
-    sets collapse to one term.
+    sets collapse to one term.  Every atom must name a relation of the
+    database, with its arity.
     """
     if isinstance(queries, ConjunctiveQuery):
         queries = [queries]
     fact_vars = FactVar(db)
     terms = set()
     for query in queries:
+        _check_relations(query, db)
         for _, used in homomorphisms(query.atoms, db.relations):
             terms.add(frozenset(fact_vars.var_of[(rel, fact)]
                                 for (rel, _), fact in zip(query.atoms, used)))
@@ -251,19 +259,16 @@ def provenance_read_once(query: ConjunctiveQuery, db: Database) -> ReadOnceTree:
     Recursion: disconnected atom groups combine by independent AND; a
     variable shared by every atom of a connected group splits it into
     independent OR branches, one per value; a single atom is the OR of its
-    matching facts.
+    matching facts.  Every atom must name a relation of the database, with
+    its arity.
     """
+    _check_relations(query, db)
     if not is_hierarchical(query):
         raise NotHierarchical(f"{query} is not hierarchical")
     fact_vars = FactVar(db)
-    per_atom = []
-    for rel, vs in query.atoms:
-        facts = []
-        for f in sorted(db.relations.get(rel, ()),
-                        key=lambda f: tuple(domain_sort_key(v) for v in f)):
-            if len(f) == len(vs):
-                facts.append(f)
-        per_atom.append(facts)
+    per_atom = [sorted(db.relations[rel],
+                       key=lambda f: tuple(domain_sort_key(v) for v in f))
+                for rel, _ in query.atoms]
 
     def consistent(atom_idx: int, facts: list, binding: dict) -> list:
         _, vs = query.atoms[atom_idx]
@@ -415,58 +420,162 @@ def shapley(query: ConjunctiveQuery, tid: TID, target,
             brute_force_limit: int = 15) -> Fraction:
     """Shapley value of an endogenous fact for making the query true.
 
-    Exogenous facts are fixed present (their variables conditioned to 1);
-    the value aggregates, per cardinality, how many endogenous subsets
-    flip the query when the target joins them.
+    Exogenous facts are always present.  For hierarchical self-join-free
+    queries this is a lookup in the one derivative pass of `shapley_all`;
+    other queries try every subset of the other endogenous facts, which is
+    capped at `brute_force_limit` endogenous facts.
     """
     target = (target[0], tuple(target[1]))
     if tid.kind.get(target, 'n') != 'n':
         raise TargetExogenous(f"{target} is exogenous")
     if target not in tid.prob:
         raise ValueError(f"{target} is not a fact of the database")
-    endo = tid.endogenous()
-    exo = tid.exogenous()
-    m = len(endo)
+    values = _shapley_by_derivative(query, tid)
+    if values is not None:
+        return values[target]
+    return _shapley_brute_force(query, tid, target, brute_force_limit)
+
+
+def shapley_all(query: ConjunctiveQuery, tid: TID) -> dict:
+    """Shapley value of every endogenous fact.
+
+    Hierarchical self-join-free queries take one bottom-up and one top-down
+    pass over the read-once decision diagram, whatever the number of facts;
+    other queries fall back to `shapley`'s brute force per fact, capped at
+    15 endogenous facts.
+    """
+    values = _shapley_by_derivative(query, tid)
+    if values is None:
+        values = {f: shapley(query, tid, f) for f in tid.endogenous()}
+    return values
+
+
+def _shapley_by_derivative(query: ConjunctiveQuery, tid: TID) -> Optional[dict]:
+    """All Shapley values from the provenance decision diagram, or None
+    unless the query is hierarchical and self-join-free.
+
+    Owen's identity: with F(p) the probability that the query holds when
+    each endogenous fact x is present with probability p_x and the
+    exogenous facts always are, phi_x = integral over t in [0, 1] of
+    dF/dp_x at p = (t, ..., t).  Node values are integer polynomials in t
+    (endogenous literals t and 1 - t, exogenous ones 1 and 0), so an OR
+    child's missing variables contribute w(x) + w(not x) = 1 and no
+    smoothing is needed.  The top-down pass gives each node the derivative
+    of F by its value; dF/dp_x is that of x's positive literal minus that
+    of its negative one.
+    """
     try:
         circuit = _hierarchical_obdd(query, tid.db)
     except (NotHierarchical, SelfJoinPresent):
-        circuit = None
-    if circuit is not None:
-        fact_vars = FactVar(tid.db)
-        fixed = {fact_vars.var_of[f]: 1 for f in exo}
-        conditioned = condition(circuit, fixed)
-        plus = _cardinality_vector(conditioned, fact_vars.var_of[target], 1)
-        minus = _cardinality_vector(conditioned, fact_vars.var_of[target], 0)
-    else:
-        if m > brute_force_limit:
-            raise TooLargeForBruteForce(
-                f"{m} endogenous facts exceed the brute-force cap")
-        others = [f for f in endo if f != target]
-        plus = [0] * m
-        minus = [0] * m
-        for mask in range(1 << len(others)):
-            subset = [others[j] for j in range(len(others)) if (mask >> j) & 1]
-            k = len(subset)
-            if query_holds(query, exo + subset + [target]):
-                plus[k] += 1
-            if query_holds(query, exo + subset):
-                minus[k] += 1
+        return None
+    fact_vars = FactVar(tid.db)
+    endo = tid.endogenous()
+    endo_vars = {fact_vars.var_of[f] for f in endo}
+    nodes = circuit.nodes
+    one, zero = [1], []
+    vals = []
+    for rec in nodes:
+        kind = rec[0]
+        if kind == 'L':
+            if rec[1] in endo_vars:
+                vals.append([0, 1] if rec[2] else [1, -1])
+            else:
+                vals.append(one if rec[2] else zero)
+        elif kind == 'A':
+            acc = one
+            for c in rec[1]:
+                acc = _poly_mul(acc, vals[c])
+            vals.append(acc)
+        elif kind == 'O':
+            acc = zero
+            for c in rec[1]:
+                acc = _poly_add(acc, vals[c])
+            vals.append(acc)
+        else:
+            vals.append(one if kind == 'T' else zero)
+
+    adjoint = [zero] * len(nodes)
+    adjoint[circuit.output] = one
+    for nid in range(len(nodes) - 1, -1, -1):
+        rec = nodes[nid]
+        adj = adjoint[nid]
+        if not adj or rec[0] not in ('A', 'O'):
+            continue
+        kids = rec[1]
+        if rec[0] == 'O':
+            for c in kids:
+                adjoint[c] = _poly_add(adjoint[c], adj)
+            continue
+        # adj times the product of the other children, from prefix and
+        # suffix products
+        suffix = [one] * len(kids)
+        for i in range(len(kids) - 1, 0, -1):
+            suffix[i - 1] = _poly_mul(vals[kids[i]], suffix[i])
+        prefix = adj
+        for i, c in enumerate(kids):
+            adjoint[c] = _poly_add(adjoint[c], _poly_mul(prefix, suffix[i]))
+            if i + 1 < len(kids):
+                prefix = _poly_mul(prefix, vals[c])
+
+    # decomposability keeps the derivative of F by an endogenous literal
+    # below degree m, so one denominator lcm(1..m) integrates every t^k
+    m = len(endo)
+    denom = lcm(*range(1, m + 1))
+    weights = [denom // (k + 1) for k in range(m)]
+    numer = dict.fromkeys(endo_vars, 0)
+    for nid, rec in enumerate(nodes):
+        if rec[0] == 'L' and rec[1] in endo_vars:
+            area = sum(c * w for c, w in zip(adjoint[nid], weights))
+            numer[rec[1]] += area if rec[2] else -area
+    return {f: Fraction(numer[fact_vars.var_of[f]], denom) for f in endo}
+
+
+def _poly_add(a: list, b: list) -> list:
+    """Sum of two coefficient lists, lowest degree first."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def _poly_mul(a: list, b: list) -> list:
+    """Product of two coefficient lists, lowest degree first; [] is zero."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _shapley_brute_force(query: ConjunctiveQuery, tid: TID, target,
+                         brute_force_limit: int) -> Fraction:
+    """Per cardinality, how many subsets of the other endogenous facts flip
+    the query when the target joins them, tried one by one."""
+    endo = tid.endogenous()
+    exo = tid.exogenous()
+    m = len(endo)
+    if m > brute_force_limit:
+        raise TooLargeForBruteForce(
+            f"{m} endogenous facts exceed the brute-force cap")
+    others = [f for f in endo if f != target]
+    plus = [0] * m
+    minus = [0] * m
+    for mask in range(1 << len(others)):
+        subset = [others[j] for j in range(len(others)) if (mask >> j) & 1]
+        k = len(subset)
+        if query_holds(query, exo + subset + [target]):
+            plus[k] += 1
+        if query_holds(query, exo + subset):
+            minus[k] += 1
     total = Fraction(0)
     for k in range(m):
         coeff = Fraction(factorial(k) * factorial(m - 1 - k), factorial(m))
         total += coeff * (plus[k] - minus[k])
     return total
-
-
-def _cardinality_vector(circuit: BoolCircuit, target_var: int, bit: int) -> list:
-    """Counts of satisfying endogenous subsets by size, with the target
-    conditioned to the given value; determinism survives conditioning even
-    though the decision shape does not."""
-    from .queries import count_by_cardinality
-    conditioned = smooth(condition(circuit, {target_var: bit}))
-    return count_by_cardinality(conditioned, assume_deterministic=True)
-
-
-def shapley_all(query: ConjunctiveQuery, tid: TID) -> dict:
-    """Shapley value of every endogenous fact."""
-    return {f: shapley(query, tid, f) for f in tid.endogenous()}

@@ -132,11 +132,7 @@ def witness(circuit: BoolCircuit) -> Optional[Valuation]:
     while stack:
         rec = circuit.nodes[stack.pop()]
         kind = rec[0]
-        if kind == 'N':
-            rec = circuit.nodes[rec[1]]
-            if rec[0] == 'L':
-                val[rec[1]] = 0 if rec[2] else 1
-        elif kind == 'L':
+        if kind == 'L':
             val[rec[1]] = 1 if rec[2] else 0
         elif kind == 'A':
             stack.extend(rec[1])

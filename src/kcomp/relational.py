@@ -683,10 +683,7 @@ def from_boolean(circuit: BoolCircuit, attr_names: Optional[tuple] = None) -> Re
 
     def leaf(rec) -> int:
         if rec[0] == 'N':
-            rec = circuit.nodes[rec[1]]
-            if rec[0] != 'L':
-                raise ValueError("normalize to NNF before converting")
-            return b.input(name_of[rec[1]], 0 if rec[2] else 1)
+            raise ValueError("normalize to NNF before converting")
         if rec[0] == 'L':
             return b.input(name_of[rec[1]], 1 if rec[2] else 0)
         return b.unit() if rec[0] == 'T' else b.empty()

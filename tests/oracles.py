@@ -2,7 +2,10 @@
 
 These deliberately avoid the package's algorithmic paths: truth tables are
 computed with bitmask arithmetic straight off the node records, joins by
-backtracking over atoms, probabilities by explicit sums over subsets.
+backtracking over atoms, probabilities by explicit sums over subsets.  The
+one exception, `shapley_by_conditioning`, keeps an older, slower route
+through the package's circuit transformations as a reference at sizes the
+subset sums cannot reach.
 """
 
 from fractions import Fraction
@@ -252,6 +255,30 @@ def shapley_direct(players, value_fn, target):
 def _subsets_of_size(items, k):
     from itertools import combinations
     return combinations(items, k)
+
+
+def shapley_by_conditioning(query, tid):
+    """Shapley value of every endogenous fact of a hierarchical query, one
+    fact at a time: condition the provenance decision diagram on the
+    exogenous facts and on the target in and out, smooth both, and weigh
+    their counts of satisfying endogenous subsets by size."""
+    from kcomp.circuits import condition, smooth
+    from kcomp.provenance import FactVar, provenance_read_once, read_once_to_obdd
+    from kcomp.queries import count_by_cardinality
+    fact_vars = FactVar(tid.db)
+    obdd = read_once_to_obdd(provenance_read_once(query, tid.db), len(fact_vars))
+    fixed = condition(obdd, {fact_vars.var_of[f]: 1 for f in tid.exogenous()})
+    endo = tid.endogenous()
+    m = len(endo)
+    out = {}
+    for target in endo:
+        plus, minus = (
+            count_by_cardinality(smooth(condition(fixed, {fact_vars.var_of[target]: bit})),
+                                 assume_deterministic=True)
+            for bit in (1, 0))
+        out[target] = sum((Fraction(factorial(k) * factorial(m - 1 - k), factorial(m))
+                           * (plus[k] - minus[k]) for k in range(m)), Fraction(0))
+    return out
 
 
 # -- Tree automata ---------------------------------------------------------------

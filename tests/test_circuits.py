@@ -236,6 +236,22 @@ def test_smooth_already_smooth_unchanged():
     assert smooth(c).structurally_equal(c)
 
 
+def test_smooth_returns_a_smooth_circuit_itself():
+    s = smooth(demo_decision())
+    assert classify(s).is_smooth
+    assert smooth(s) is s
+
+
+def test_builder_folds_not_over_inputs():
+    b = CircuitBuilder(2)
+    assert b.neg(b.literal(0)) == b.literal(0, False)
+    assert b.neg(b.literal(1, False)) == b.literal(1)
+    assert b.neg(b.true()) == b.false()
+    assert b.neg(b.false()) == b.true()
+    gate = b.conj((b.literal(0), b.literal(1)))
+    assert b.kind(b.neg(gate)) == 'N'
+
+
 def test_smooth_keeps_decision_shape():
     s = smooth(demo_decision())
     rep = classify(s)

@@ -1,12 +1,14 @@
 """Malformed circuit files and queries that do not fit their database are
-rejected with a format error (CLI exit 2), never read as something else."""
+rejected with an error, never read as something else: a format error (CLI
+exit 2), or an unknown relation (a domain error, CLI exit 1)."""
 
 import pytest
 
 from kcomp.cli import main
 from kcomp.cq import Database, _materialize, compile_cq, parse_cq
-from kcomp.errors import ArityMismatch, InputFormatError
+from kcomp.errors import ArityMismatch, InputFormatError, UnknownRelation
 from kcomp.nnf_io import read_nnf
+from kcomp.provenance import provenance_dnf, provenance_read_once
 from kcomp.relational import read_rel
 
 REL_HEAD = "rel 1 3 2\nattr x 2 0 1\nmode full\nI 0 0\nI 0 1\n"
@@ -74,3 +76,28 @@ def test_cq_count_arity_mismatch_exits_2(tmp_path, capsys, text):
     assert code == 2
     assert err.startswith('error:') and err.count('\n') == 1
     assert 'Traceback' not in err
+
+
+@pytest.mark.parametrize('text, error', [("Q() :- R(x).", ArityMismatch),
+                                         ("Q() :- Z(x).", UnknownRelation)])
+def test_provenance_builders_check_the_relations(text, error):
+    query = parse_cq(text)
+    with pytest.raises(error):
+        provenance_dnf(query, Database(DB))
+    with pytest.raises(error):
+        provenance_read_once(query, Database(DB))
+
+
+@pytest.mark.parametrize('text, code', [("Q() :- R(x).", 2), ("Q() :- Z(x).", 1)])
+def test_provenance_commands_check_the_relations(tmp_path, capsys, text, code):
+    query = tmp_path / "q.cq"
+    query.write_text(text + "\n")
+    db = tmp_path / "db.tsv"
+    db.write_text("R\ta\tb\nR\tb\tc\n")
+    tid = tmp_path / "db.tid"
+    tid.write_text("R\ta\tb\t1/2\tn\nR\tb\tc\t1/2\tn\n")
+    for argv in (['prov', '--kind', 'dnf', '--db', str(db)],
+                 ['pqe', '--mode', 'approx', '--tid', str(tid)]):
+        assert main(argv + ['--query', str(query)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith('error:') and err.count('\n') == 1

@@ -14,7 +14,7 @@ from kcomp.provenance import (TID, FactVar, is_hierarchical, lift, pqe,
 from kcomp.queries import ApproxParams
 
 from oracles import (dnf_probability, models_of, query_true_on,
-                     shapley_direct)
+                     shapley_by_conditioning, shapley_direct)
 
 
 def toy_db():
@@ -413,6 +413,43 @@ def test_shapley_efficiency():
         full = 1 if query_true_on(q.head, q.atoms, facts) else 0
         base = 1 if query_true_on(q.head, q.atoms, tid.exogenous()) else 0
         assert total == full - base
+
+
+def random_tid_for(q, rng, num_facts):
+    """TID of num_facts facts for q.  Each position reuses a value already
+    drawn for its variable three times in four, so the atoms join.  Facts
+    of the first atom are endogenous and the others exogenous three times
+    in ten, so the exogenous facts alone never satisfy the query."""
+    seen = {v: [] for v in q.variables()}
+    rels = {rel: set() for rel, _ in q.atoms}
+    while sum(map(len, rels.values())) < num_facts:
+        rel, vs = rng.choice(q.atoms)
+        values = []
+        for v in vs:
+            if not seen[v] or rng.random() < 0.25:
+                seen[v].append(f"{v}{len(seen[v])}")
+            values.append(rng.choice(seen[v]))
+        rels[rel].add(tuple(values))
+    db = Database(rels)
+    first = q.atoms[0][0]
+    kinds = {f: ('x' if f[0] != first and rng.random() < 0.3 else 'n')
+             for f in db.facts()}
+    return TID(db, {f: Fraction(1, 2) for f in db.facts()}, kinds)
+
+
+def test_shapley_all_matches_conditioning_up_to_80_facts():
+    rng = random.Random(51)
+    for num_facts in (10, 20, 40, 80):
+        q = random_hierarchical_query(rng)
+        tid = random_tid_for(q, rng, num_facts)
+        values = shapley_all(q, tid)
+        assert values == shapley_by_conditioning(q, tid)
+        endo = tid.endogenous()
+        for target in rng.sample(endo, 3):
+            assert shapley(q, tid, target) == values[target]
+        full = 1 if query_true_on(q.head, q.atoms, tid.db.facts()) else 0
+        base = 1 if query_true_on(q.head, q.atoms, tid.exogenous()) else 0
+        assert sum(values.values()) == full - base
 
 
 # -- TID parsing ---------------------------------------------------------------------------------

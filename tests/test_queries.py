@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kcomp.circuits import CircuitBuilder, DNFFormula, smooth
+from kcomp.circuits import CircuitBuilder, DNFFormula, core_flags, smooth
 from kcomp.errors import (IncompleteWeightMap, NotDNNF,
                           NotSmoothDeterministicDNNF, Unsatisfiable)
 from kcomp.queries import (COUNTING, ApproxParams, WeightMap,
@@ -286,6 +286,54 @@ def weighted_product(weights, val, svars):
     for v in svars:
         p *= weights[(v, bool(val[v]))]
     return p
+
+
+def random_negated_decision_circuit(rng, num_vars):
+    """Decomposable decision circuit in which every negative literal is
+    built as a NOT over the positive one and every false leaf as NOT true."""
+    b = CircuitBuilder(num_vars)
+
+    def build(vars_left):
+        if not vars_left or rng.random() < 0.2:
+            if vars_left and rng.random() < 0.5:
+                return b.neg(b.literal(vars_left[0]))
+            return b.true() if rng.random() < 0.8 else b.neg(b.true())
+        if len(vars_left) >= 3 and rng.random() < 0.3:
+            cut = rng.randint(1, len(vars_left) - 1)
+            return b.conj((build(vars_left[:cut]), build(vars_left[cut:])))
+        var, rest = vars_left[0], vars_left[1:]
+        return b.disj((b.conj((b.neg(b.literal(var)), build(rest))),
+                       b.conj((b.literal(var), build(rest)))))
+
+    return b.finish(build(list(range(num_vars))))
+
+
+def test_counting_tasks_on_negated_literals_against_truth_tables():
+    rng = random.Random(61)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        c = random_negated_decision_circuit(rng, n)
+        assert core_flags(c)[2]
+        s = smooth(c)
+        svars = c.sorted_vars()
+        weights = WeightMap({(v, pol): Fraction(rng.randint(1, 9), 10)
+                             for v in range(n) for pol in (True, False)})
+        models = models_of(c)
+        assert model_count(s) == len(models)
+        assert wmc(s, weights) == weighted_sum(c, weights)
+        assert count_by_cardinality(s) == [
+            sum(1 for m in models if m.count('1') == k) for k in range(n + 1)]
+        assert {bits_of(c, v) for v in enumerate_models(c)} == models
+        if not models:
+            with pytest.raises(Unsatisfiable):
+                sample_uniform(s, rng)
+            continue
+        assert bits_of(c, sample_uniform(s, rng)) in models
+        val, weight = best_valuation(s, weights)
+        assert bits_of(c, val) in models
+        assert weight == max(
+            weighted_product(weights, {v: int(m[j]) for j, v in enumerate(svars)}, svars)
+            for m in models)
 
 
 # -- approximate DNF counting ------------------------------------------------------------------
