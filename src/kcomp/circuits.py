@@ -24,7 +24,7 @@ Size is the number of edges of the DAG.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ._dag import (Builder, binary_splits, edge_count, rebuild, truth_values,
@@ -85,20 +85,40 @@ class VTree:
         return f"({self.left!r} {self.right!r})"
 
 
+class _LazyWitness:
+    """structured_witness for a report that holds either the witness or,
+    in _search, the (variables, nodes, sets, gate kind) to search it from:
+    the greedy vtree search runs on the first read and its answer is kept."""
+
+    @property
+    def structured_witness(self) -> Optional[VTree]:
+        search = self._search     # read once: concurrent readers may race
+        if search is not None:
+            variables, nodes, sets, kind = search
+            self._witness = _synthesized_witness(
+                variables, list(binary_splits(nodes, sets, kind)))
+            self._search = None
+        return self._witness
+
+
 @dataclass
-class ClassReport:
+class ClassReport(_LazyWitness):
     """Syntactic class certificate for one circuit.
 
     syntactic_deterministic is exactly all_or_decision: decision gates are
-    the checkable witness for determinism.  A missing structured_witness
-    means no vtree was found, not that none exists.
+    the checkable witness for determinism.  structured_witness is a hinted
+    vtree that holds, the caterpillar of obdd_order, or else the result of
+    a greedy vtree search that runs on its first read and is cached in the
+    report.  A missing structured_witness means no vtree was found, not
+    that none exists.
     """
     is_nnf: bool
     is_decomposable: bool
     all_or_decision: bool
     is_smooth: bool
-    structured_witness: Optional[VTree] = None
     obdd_order: Optional[tuple] = None
+    _witness: Optional[VTree] = field(default=None, repr=False, compare=False)
+    _search: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def syntactic_deterministic(self) -> bool:
@@ -607,11 +627,12 @@ def classify(circuit: BoolCircuit, hint: Optional[VTree] = None) -> ClassReport:
 
     Checks NNF shape, decomposability of every AND gate, the decision
     shape of every OR gate, and smoothness.  A vtree witness is verified
-    when hinted, otherwise synthesized best-effort; absence of a witness is
-    reported, never treated as a refutation.  A detected OBDD order needs
-    no check: its caterpillar vtree holds by construction, because every
-    AND is a decision gadget whose literal comes before all the variables
-    of its continuation.
+    when hinted; otherwise a greedy best-effort search for one runs on the
+    first read of the report's structured_witness and is cached there.
+    Absence of a witness is reported, never treated as a refutation.  A
+    detected OBDD order needs no check: its caterpillar vtree holds by
+    construction, because every AND is a decision gadget whose literal
+    comes before all the variables of its continuation.
     """
     if hint is None and circuit._report is not None:
         return circuit._report
@@ -619,6 +640,7 @@ def classify(circuit: BoolCircuit, hint: Optional[VTree] = None) -> ClassReport:
 
     obdd_order = None
     witness = None
+    search = None
     if is_nnf and is_decomposable:
         if hint is not None and respects_vtree(circuit, hint):
             witness = hint
@@ -627,12 +649,12 @@ def classify(circuit: BoolCircuit, hint: Optional[VTree] = None) -> ClassReport:
             if obdd_order is not None and witness is None:
                 witness = VTree.right_linear(obdd_order)
         if witness is None and hint is None and circuit.universe:
-            witness = _synthesized_witness(circuit.universe, list(binary_splits(
-                circuit.nodes, circuit.varsets(), 'A')))
+            search = (circuit.universe, circuit.nodes, circuit.varsets(), 'A')
 
     report = ClassReport(is_nnf=is_nnf, is_decomposable=is_decomposable,
                          all_or_decision=all_or_decision, is_smooth=is_smooth,
-                         structured_witness=witness, obdd_order=obdd_order)
+                         obdd_order=obdd_order, _witness=witness,
+                         _search=search)
     if hint is None:
         circuit._report = report
     return report

@@ -501,6 +501,10 @@ def main(argv=None) -> int:
     except KcompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError as exc:
+        print(f"error: input nested too deeply to process: {exc}",
+              file=sys.stderr)
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -134,30 +134,31 @@ def _condition_clauses(clauses, lit: int):
 
 
 def _components(clauses):
-    """Group clauses by connected components of the variable graph."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for clause in clauses:
-        it = iter(clause)
-        first = abs(next(it))
-        parent.setdefault(first, first)
-        for lit in it:
-            v = abs(lit)
-            parent.setdefault(v, v)
-            ra, rb = find(first), find(v)
-            if ra != rb:
-                parent[ra] = rb
-    groups = {}
-    for clause in clauses:
-        root = find(abs(next(iter(clause))))
-        groups.setdefault(root, []).append(clause)
-    return list(groups.values())
+    """Group clauses by connected components of the variable graph: one
+    BFS over a variable -> clause index map, groups in order of their
+    first clause, clauses in their given order."""
+    occurs = {}
+    for i, clause in enumerate(clauses):
+        for lit in clause:
+            occurs.setdefault(abs(lit), []).append(i)
+    seen = [False] * len(clauses)
+    groups = []
+    for first in range(len(clauses)):
+        if seen[first]:
+            continue
+        seen[first] = True
+        group = [first]
+        for i in group:            # the queue grows while it is read
+            for lit in clauses[i]:
+                for j in occurs.pop(abs(lit), ()):
+                    if not seen[j]:
+                        seen[j] = True
+                        group.append(j)
+        if len(group) == len(clauses):
+            return [clauses]
+        group.sort()
+        groups.append([clauses[i] for i in group])
+    return groups
 
 
 def _pick_variable(clauses, heuristic: str) -> int:

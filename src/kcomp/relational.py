@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from ._dag import Builder, binary_splits, edge_count, rebuild, resolve, var_sets
-from .circuits import BoolCircuit, CircuitBuilder, _synthesized_witness
+from ._dag import Builder, edge_count, rebuild, resolve, var_sets
+from .circuits import BoolCircuit, CircuitBuilder, _LazyWitness
 from .errors import (DomainViolation, InputFormatError, NonBooleanDomain,
                      NotCountable, NotDecomposable, NotOrdered, OutOfRange)
 
@@ -76,12 +76,17 @@ class RelCircuit:
 
 
 @dataclass
-class RelClassReport:
+class RelClassReport(_LazyWitness):
+    """Syntactic flags of a relational circuit.  ordered_witness is the
+    attribute order of an ordered circuit; structured_witness, a vtree over
+    attribute indexes that every join split fits, comes from a greedy
+    search that runs on its first read and is cached in the report."""
     decomposable: bool
     smooth_union: bool
     decision_only: bool
     ordered_witness: Optional[tuple] = None
-    structured_witness: Optional[object] = None
+    _witness: Optional[object] = field(default=None, repr=False, compare=False)
+    _search: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 class RelBuilder(Builder):
@@ -227,7 +232,8 @@ def decision_attr(circuit: RelCircuit, nid: int) -> Optional[int]:
 
 def classify_rel(circuit: RelCircuit) -> RelClassReport:
     """Syntactic flags; union disjointness is certified only through the
-    decision shape."""
+    decision shape.  The vtree search for structured_witness runs on the
+    first read of that property, not here."""
     if circuit._report is not None:
         return circuit._report
     attrsets = circuit.attrsets()
@@ -254,14 +260,13 @@ def classify_rel(circuit: RelCircuit) -> RelClassReport:
     if decision_only and decomposable and in_order:
         ordered = circuit.attrs
 
-    structured = None
+    search = None
     if decomposable:
-        structured = _synthesized_witness(
-            frozenset(range(len(circuit.attrs))),
-            list(binary_splits(circuit.nodes, attrsets, 'J')))
+        search = (frozenset(range(len(circuit.attrs))), circuit.nodes,
+                  attrsets, 'J')
 
     report = RelClassReport(decomposable, smooth_union, decision_only,
-                            ordered, structured)
+                            ordered, _search=search)
     circuit._report = report
     return report
 

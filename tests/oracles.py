@@ -117,6 +117,34 @@ def cnf_models(num_vars, clauses):
     return out
 
 
+def clause_components(clauses):
+    """Clause groups of the connected components of the variable graph, by
+    union-find: groups in order of their first clause, clauses in order."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for clause in clauses:
+        it = iter(clause)
+        first = abs(next(it))
+        parent.setdefault(first, first)
+        for lit in it:
+            v = abs(lit)
+            parent.setdefault(v, v)
+            ra, rb = find(first), find(v)
+            if ra != rb:
+                parent[ra] = rb
+    groups = {}
+    for clause in clauses:
+        root = find(abs(next(iter(clause))))
+        groups.setdefault(root, []).append(clause)
+    return list(groups.values())
+
+
 # -- DNF probability ----------------------------------------------------------
 
 def dnf_probability(terms, probs):

@@ -5,12 +5,14 @@ enforces its runtime budget.  Oracles come from tests/oracles.py and are
 independent of the library's algorithmic paths.
 """
 
+import gc
 import math
 import random
 import time
 from fractions import Fraction
 
-from kcomp.circuits import CircuitBuilder, classify, respects_vtree, smooth
+from kcomp.circuits import (BoolCircuit, CircuitBuilder, classify,
+                            respects_vtree, smooth)
 from kcomp.cli import main as cli_main
 from kcomp.cnf import compile_dpll
 from kcomp.cq import (ConjunctiveQuery, Database, answer_access, answer_count,
@@ -219,27 +221,54 @@ def _fit_exponent(sizes, times):
     return num / den
 
 
+def _seconds_per_call(cases, window=0.02):
+    """Mean time of run(fresh()) for each (run, fresh) case, fresh() not
+    timed, over as many calls as it takes for each case's timed calls to
+    add up to `window` seconds.  The case with the least time so far runs
+    next, so that a slow spell of a shared machine falls on all cases
+    alike; the garbage collector is off during timed calls, as in timeit."""
+    totals = [0.0] * len(cases)
+    calls = [0] * len(cases)
+    while min(totals) < window:
+        i = totals.index(min(totals))
+        run, fresh = cases[i]
+        arg = fresh()
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            run(arg)
+            totals[i] += time.perf_counter() - t0
+        finally:
+            gc.enable()
+        calls[i] += 1
+    return [total / n for total, n in zip(totals, calls)]
+
+
+def _uncounted_copy(circuit):
+    """model_count caches its counts in the circuit; a copy smoothed like
+    the original has its flags cached but no counts."""
+    return smooth(BoolCircuit(circuit.nodes, circuit.output, circuit.universe))
+
+
+def _wmc_call(weights):
+    return lambda circuit: wmc(circuit, weights, FLOAT)
+
+
 def test_criterion_6_complexity_smoke():
+    # every size is timed over about 20 ms of calls, interleaved with the
+    # other sizes, so that neither one disturbed call nor a slow spell of
+    # the machine can move the fitted exponent
     block_counts = (40, 80, 160, 320, 400)
-    sizes = []
-    count_times = []
-    wmc_times = []
-    for k in block_counts:
-        best_count = float('inf')
-        best_wmc = float('inf')
-        for _ in range(3):
-            circuit = smooth(_block_circuit(k))
-            t0 = time.perf_counter()
-            model_count(circuit)
-            best_count = min(best_count, time.perf_counter() - t0)
-            fresh = smooth(_block_circuit(k))
-            weights = WeightMap.constant(fresh.universe, 0.5)
-            t0 = time.perf_counter()
-            wmc(fresh, weights, FLOAT)
-            best_wmc = min(best_wmc, time.perf_counter() - t0)
-        sizes.append(circuit.size)
-        count_times.append(best_count)
-        wmc_times.append(best_wmc)
+    circuits = [smooth(_block_circuit(k)) for k in block_counts]
+    sizes = [circuit.size for circuit in circuits]
+    cases = ([(model_count, lambda c=c: _uncounted_copy(c)) for c in circuits]
+             + [(_wmc_call(WeightMap.constant(c.universe, 0.5)), lambda c=c: c)
+                for c in circuits])
+    best = [float('inf')] * len(cases)
+    for _ in range(3):
+        best = list(map(min, best, _seconds_per_call(cases)))
+    count_times = best[:len(circuits)]
+    wmc_times = best[len(circuits):]
     count_exp = _fit_exponent(sizes, count_times)
     wmc_exp = _fit_exponent(sizes, wmc_times)
     assert count_exp <= 1.2, (sizes, count_times, count_exp)

@@ -4,7 +4,9 @@ report: each reported witness must hold on the circuit it certifies."""
 import random
 
 from kcomp import (CircuitBuilder, VTree, classify, classify_rel, compile_dpll,
-                   from_boolean, parse_dimacs)
+                   count_rel, direct_access, from_boolean, parse_dimacs)
+from kcomp import circuits
+from kcomp._dag import binary_splits
 from kcomp.circuits import respects_vtree, to_nnf
 
 
@@ -94,3 +96,117 @@ def test_relational_structured_witness_holds_on_the_boolean_circuit():
             witnessed += 1
             assert respects_vtree(c, vtree)
     assert witnessed > 100
+
+
+def count_searches(monkeypatch):
+    """Wrap circuits._synthesized_witness; returns the list of its calls."""
+    calls = []
+    search = circuits._synthesized_witness
+
+    def counted(variables, splits):
+        calls.append(variables)
+        return search(variables, splits)
+
+    monkeypatch.setattr(circuits, '_synthesized_witness', counted)
+    return calls
+
+
+def non_obdd_dnnf():
+    """x0 AND (x1 OR NOT x2): decomposable, no OBDD order."""
+    b = CircuitBuilder(3)
+    return b.finish(b.conj((b.literal(0, True),
+                            b.disj((b.literal(1, True), b.literal(2, False))))))
+
+
+def test_classify_searches_for_the_witness_on_first_read_only(monkeypatch):
+    calls = count_searches(monkeypatch)
+    c = non_obdd_dnnf()
+    report = classify(c)
+    assert report.is_decomposable and report.obdd_order is None
+    assert calls == []
+    witness = report.structured_witness
+    assert witness is not None and respects_vtree(c, witness)
+    assert len(calls) == 1
+    assert report.structured_witness is witness
+    assert classify(c).structured_witness is witness
+    assert len(calls) == 1
+
+
+def test_hinted_classify_never_searches(monkeypatch):
+    calls = count_searches(monkeypatch)
+    good = VTree.right_linear([0, 1, 2])
+    bad = VTree.internal(VTree.internal(VTree.leaf(0), VTree.leaf(1)),
+                         VTree.leaf(2))
+    assert classify(non_obdd_dnnf(), hint=good).structured_witness is good
+    assert classify(non_obdd_dnnf(), hint=bad).structured_witness is None
+    assert calls == []
+
+
+def test_classify_rel_searches_for_the_witness_on_first_read_only(monkeypatch):
+    calls = count_searches(monkeypatch)
+    rc = from_boolean(non_obdd_dnnf())
+    report = classify_rel(rc)
+    assert report.decomposable
+    assert calls == []
+    witness = report.structured_witness
+    assert witness is not None and respects_vtree(non_obdd_dnnf(), witness)
+    assert len(calls) == 1
+    assert report.structured_witness is witness
+    assert classify_rel(rc).structured_witness is witness
+    assert len(calls) == 1
+
+
+def test_relational_queries_never_search(monkeypatch):
+    calls = count_searches(monkeypatch)
+    rng = random.Random(53)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        rc = from_boolean(random_decision_dag(rng, n, rng.randint(1, 20),
+                                             ordered=True))
+        if classify_rel(rc).ordered_witness is None:
+            continue
+        total = count_rel(rc)
+        if total:
+            direct_access(rc, rng.randint(1, total))
+    assert calls == []
+
+
+def lazy_and_direct_witnesses(rng):
+    """(lazily read, directly searched) witness pairs, Boolean and
+    relational, on seeded circuits whose report has to search."""
+    cases = []
+    for i in range(400):
+        n = rng.randint(1, 8)
+        kind = i % 4
+        if kind == 0:
+            c = random_dnnf(rng, n)
+        elif kind == 1:
+            c = to_nnf(random_nnf(rng, n, rng.randint(1, 10)))
+        elif kind == 2:
+            c = random_decision_dag(rng, n, rng.randint(1, 20),
+                                    ordered=rng.random() < 0.5)
+        else:
+            n = rng.randint(3, 12)
+            c = compile_dpll(random_cnf(rng, n, rng.randint(1, 2 * n)))[0]
+        report = classify(c)
+        if report._search is not None:
+            direct = circuits._synthesized_witness(
+                c.universe, list(binary_splits(c.nodes, c.varsets(), 'A')))
+            cases.append((report.structured_witness, direct))
+        if c.universe == frozenset(range(n)):
+            rc = from_boolean(c)
+            rel = classify_rel(rc)
+            if rel.decomposable:
+                direct = circuits._synthesized_witness(
+                    frozenset(range(len(rc.attrs))),
+                    list(binary_splits(rc.nodes, rc.attrsets(), 'J')))
+                cases.append((rel.structured_witness, direct))
+    return cases
+
+
+def test_lazy_witness_matches_a_direct_search():
+    cases = lazy_and_direct_witnesses(random.Random(59))
+    assert sum(lazy is not None for lazy, _ in cases) > 100
+    assert sum(lazy is None for lazy, _ in cases) > 10
+    for lazy, direct in cases:
+        assert repr(lazy) == repr(direct)

@@ -316,3 +316,16 @@ def test_count_rejects_nondeterministic_circuit(tmp_path, capsys):
     # enumeration has no determinism requirement
     code, out, _ = run_cli(capsys, 'enum', '--nnf', str(path))
     assert code == 0 and len(out.split()) == 6
+
+
+def test_input_too_deep_for_recursion_is_one_line_domain_error(tmp_path, capsys):
+    # an implication chain x1 -> x2 -> ... -> x1500 nests deeper than the
+    # recursive DPLL compiler can go
+    n = 1500
+    cnf = tmp_path / "chain.cnf"
+    cnf.write_text(f"p cnf {n} {n - 1}\n"
+                   + "".join(f"-{i} {i + 1} 0\n" for i in range(1, n)))
+    code, _, err = run_cli(capsys, 'compile-cnf', '--cnf', str(cnf))
+    assert code == 1
+    assert err.startswith('error: ') and err.count('\n') == 1, err
+    assert 'Traceback' not in err

@@ -4,12 +4,12 @@ import pytest
 
 from kcomp.circuits import classify, smooth
 from kcomp.cnf import (CNFFormula, compile_dpll, parse_dimacs,
-                       verify_equivalence, HEURISTICS)
+                       verify_equivalence, HEURISTICS, _components)
 from kcomp.errors import (ClauseCountMismatch, LiteralOutOfRange,
                           MalformedHeader)
 from kcomp.queries import model_count
 
-from oracles import cnf_models, models_of
+from oracles import clause_components, cnf_models, models_of
 
 
 def random_cnf(rng, num_vars, num_clauses):
@@ -143,3 +143,27 @@ def test_verify_zero_variables():
     f = CNFFormula.from_lists(0, [])
     circuit, _ = compile_dpll(f)
     assert verify_equivalence(f, circuit).status == 'equivalent'
+
+
+def test_components_match_union_find_reference():
+    rng = random.Random(47)
+    several = 0
+    for _ in range(400):
+        # variable blocks of random sizes; each clause stays in one block
+        # unless a rare bridge clause joins two of them
+        num_vars = rng.randint(1, 40)
+        order = rng.sample(range(1, num_vars + 1), num_vars)
+        cuts = sorted(rng.sample(range(1, num_vars), rng.randint(0, min(5, num_vars - 1))))
+        blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [num_vars])]
+        clauses = []
+        for _ in range(rng.randint(1, 3 * num_vars)):
+            if len(blocks) > 1 and rng.random() < 0.03:
+                vs = [rng.choice(blk) for blk in rng.sample(blocks, 2)]
+            else:
+                blk = rng.choice(blocks)
+                vs = rng.sample(blk, rng.randint(1, min(3, len(blk))))
+            clauses.append(frozenset(v if rng.random() < 0.5 else -v for v in vs))
+        got = _components(clauses)
+        assert got == clause_components(clauses)
+        several += len(got) > 1
+    assert several > 200
