@@ -363,10 +363,16 @@ def condition(circuit: BoolCircuit, partial: PartialValuation) -> BoolCircuit:
 def smooth(circuit: BoolCircuit) -> BoolCircuit:
     """Give every OR gate children with identical variable sets.
 
-    Missing variables are conjoined as shared tautology gadgets, built in
-    decision shape (x and 1) or (not x and 1) so that decision-only
-    circuits stay decision-only.  Size grows by at most a factor linear in
-    the number of variables.  An already smooth circuit is returned as is.
+    Each OR child is conjoined with tautologies over the variables it
+    misses.  The pads come from one segment tree over the sorted universe,
+    built lazily and shared by the whole circuit: a leaf is the decision-
+    shaped gadget (x and 1) or (not x and 1), so that decision-only
+    circuits stay decision-only, and an inner node is the AND of its two
+    halves.  A child's missing variables split into maximal runs of
+    consecutive positions in sorted order, and each run is covered by at
+    most 2 ceil(log2 n) segment-tree pieces.  Padding thus costs O(log n)
+    edges per run, plus at most about 2n shared gadget nodes over the
+    whole circuit.  An already smooth circuit is returned as is.
     """
     is_nnf, is_decomposable, _, is_smooth = core_flags(circuit)
     if not is_nnf or not is_decomposable:
@@ -374,16 +380,54 @@ def smooth(circuit: BoolCircuit) -> BoolCircuit:
     if is_smooth:
         return circuit
     vsets = circuit.varsets()
+    order = sorted(circuit.universe)
+    position = {v: i for i, v in enumerate(order)}
     b = CircuitBuilder(circuit.universe)
-    gadgets = {}
+    segments = {}
+    covers = {}
 
-    def gadget(var: int) -> int:
-        g = gadgets.get(var)
+    def segment(lo: int, hi: int) -> int:
+        """Tautology over order[lo:hi], a segment-tree node (depth log n)."""
+        g = segments.get((lo, hi))
         if g is None:
-            g = b.disj((b.conj((b.literal(var, True), b.true())),
-                        b.conj((b.literal(var, False), b.true()))))
-            gadgets[var] = g
+            if hi - lo == 1:
+                var = order[lo]
+                g = b.disj((b.conj((b.literal(var, True), b.true())),
+                            b.conj((b.literal(var, False), b.true()))))
+            else:
+                mid = (lo + hi) // 2
+                g = b.conj((segment(lo, mid), segment(mid, hi)))
+            segments[(lo, hi)] = g
         return g
+
+    def cover(start: int, end: int) -> list:
+        """Canonical segment-tree pieces of order[start:end], ascending."""
+        pieces = covers.get((start, end))
+        if pieces is None:
+            pieces = []
+            stack = [(0, len(order))]
+            while stack:
+                lo, hi = stack.pop()
+                if start <= lo and hi <= end:
+                    pieces.append(segment(lo, hi))
+                elif lo < end and start < hi:
+                    mid = (lo + hi) // 2
+                    stack.append((mid, hi))
+                    stack.append((lo, mid))
+            covers[(start, end)] = pieces
+        return pieces
+
+    def padding(missing: frozenset) -> tuple:
+        """Segment-tree pieces covering the missing variables, ascending."""
+        positions = sorted(map(position.__getitem__, missing))
+        out = []
+        start = positions[0]
+        for prev, p in zip(positions, positions[1:]):
+            if p != prev + 1:          # a run ends at prev
+                out += cover(start, prev + 1)
+                start = p
+        out += cover(start, positions[-1] + 1)
+        return tuple(out)
 
     out = []
     for nid, rec in enumerate(circuit.nodes):
@@ -403,7 +447,7 @@ def smooth(circuit: BoolCircuit) -> BoolCircuit:
                 missing = gate_vars - vsets[c]
                 mapped = out[c]
                 if missing:
-                    pads = tuple(gadget(v) for v in sorted(missing))
+                    pads = padding(missing)
                     if circuit.nodes[c][0] == 'A':
                         mapped = b.conj(tuple(b.children(mapped)) + pads)
                     else:

@@ -72,13 +72,23 @@ def _load_probs(args, universe) -> dict:
                 p = Fraction(parts[1])
             except (ValueError, ZeroDivisionError):
                 raise InputFormatError(f"prob file line {lineno}: bad entry") from None
-            probs[var] = p
+            probs[var] = _probability(p, f"prob file line {lineno}")
         missing = [v + 1 for v in universe if v not in probs]
         if missing:
             raise InputFormatError(f"prob file misses variables {missing}")
         return probs
-    p = Fraction(str(args.p))
+    try:
+        p = Fraction(str(args.p))
+    except (ValueError, ZeroDivisionError):
+        raise InputFormatError(f"--p: bad probability {args.p!r}") from None
+    p = _probability(p, "--p")
     return {v: p for v in universe}
+
+
+def _probability(p: Fraction, where: str) -> Fraction:
+    if not 0 <= p <= 1:
+        raise InputFormatError(f"{where}: probability {p} outside [0, 1]")
+    return p
 
 
 # -- Boolean circuit commands ---------------------------------------------------

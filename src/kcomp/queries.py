@@ -215,12 +215,14 @@ def count_by_cardinality(circuit: BoolCircuit,
     """Vector c with c[k] = number of satisfying valuations of weight k.
 
     AND combines children by convolution, OR adds pointwise; unmentioned
-    universe variables contribute a binomial factor.
+    universe variables contribute a binomial factor.  A literal child of an
+    AND is the polynomial z or 1, so it shifts the product instead.
     """
     _require_smooth_det(circuit, assume_deterministic)
+    nodes = circuit.nodes
     vsets = circuit.varsets()
     vecs = []
-    for nid, rec in enumerate(circuit.nodes):
+    for nid, rec in enumerate(nodes):
         kind = rec[0]
         if kind == 'T':
             vecs.append([1])
@@ -229,9 +231,20 @@ def count_by_cardinality(circuit: BoolCircuit,
         elif kind == 'L':
             vecs.append([0, 1] if rec[2] else [1, 0])
         elif kind == 'A':
-            acc = [1]
+            acc = None
+            positive = negative = 0
             for c in rec[1]:
+                crec = nodes[c]
+                if crec[0] == 'L':
+                    if crec[2]:
+                        positive += 1
+                    else:
+                        negative += 1
+                    continue
                 child = vecs[c]
+                if acc is None:
+                    acc = child
+                    continue
                 out = [0] * (len(acc) + len(child) - 1)
                 for i, a in enumerate(acc):
                     if a:
@@ -239,7 +252,9 @@ def count_by_cardinality(circuit: BoolCircuit,
                             if bv:
                                 out[i + j] += a * bv
                 acc = out
-            vecs.append(acc)
+            # like the convolution it replaces, a negative literal (times 1)
+            # still lengthens the vector by one
+            vecs.append([0] * positive + (acc or [1]) + [0] * negative)
         else:
             width = len(vsets[nid]) + 1
             acc = [0] * width
@@ -257,9 +272,7 @@ def count_by_cardinality(circuit: BoolCircuit,
                 for j, bv in enumerate(binom):
                     out[i + j] += a * bv
         result = out
-    want = len(circuit.universe) + 1
-    result += [0] * (want - len(result))
-    return result
+    return result + [0] * (len(circuit.universe) + 1 - len(result))
 
 
 # -- enumeration ----------------------------------------------------------------

@@ -5,7 +5,9 @@ computed with bitmask arithmetic straight off the node records, joins by
 backtracking over atoms, probabilities by explicit sums over subsets.  The
 one exception, `shapley_by_conditioning`, keeps an older, slower route
 through the package's circuit transformations as a reference at sizes the
-subset sums cannot reach.
+subset sums cannot reach, and `smooth_per_variable` keeps the package's
+older smoothing, with one padding edge per missing variable, as the
+reference that the shared interval gadgets of `smooth` must agree with.
 """
 
 from fractions import Fraction
@@ -74,6 +76,55 @@ def models_of(circuit):
         if (table >> b) & 1:
             out.add(format(b, f'0{n}b') if n else '')
     return out
+
+
+def smooth_per_variable(circuit):
+    """Smoothing that conjoins one tautology gadget (x and 1) or (not x and
+    1) per missing variable to each OR child, in sorted variable order;
+    an already smooth circuit is returned as is."""
+    from kcomp.circuits import CircuitBuilder, core_flags
+    is_nnf, is_decomposable, _, is_smooth = core_flags(circuit)
+    assert is_nnf and is_decomposable
+    if is_smooth:
+        return circuit
+    vsets = circuit.varsets()
+    b = CircuitBuilder(circuit.universe)
+    gadgets = {}
+
+    def gadget(var):
+        g = gadgets.get(var)
+        if g is None:
+            g = b.disj((b.conj((b.literal(var, True), b.true())),
+                        b.conj((b.literal(var, False), b.true()))))
+            gadgets[var] = g
+        return g
+
+    out = []
+    for nid, rec in enumerate(circuit.nodes):
+        kind = rec[0]
+        if kind == 'T':
+            out.append(b.true())
+        elif kind == 'F':
+            out.append(b.false())
+        elif kind == 'L':
+            out.append(b.literal(rec[1], rec[2]))
+        elif kind == 'A':
+            out.append(b.conj(tuple(out[c] for c in rec[1])))
+        else:
+            gate_vars = vsets[nid]
+            new_children = []
+            for c in rec[1]:
+                missing = gate_vars - vsets[c]
+                mapped = out[c]
+                if missing:
+                    pads = tuple(gadget(v) for v in sorted(missing))
+                    if circuit.nodes[c][0] == 'A':
+                        mapped = b.conj(tuple(b.children(mapped)) + pads)
+                    else:
+                        mapped = b.conj((mapped,) + pads)
+                new_children.append(mapped)
+            out.append(b.disj(tuple(new_children)))
+    return b.finish(out[circuit.output], circuit.var_names)
 
 
 def count_models(circuit):

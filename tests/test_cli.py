@@ -329,3 +329,23 @@ def test_input_too_deep_for_recursion_is_one_line_domain_error(tmp_path, capsys)
     assert code == 1
     assert err.startswith('error: ') and err.count('\n') == 1, err
     assert 'Traceback' not in err
+
+
+@pytest.mark.parametrize('command', ['wmc', 'best'])
+def test_probabilities_outside_unit_interval_are_usage_errors(demo_nnf, tmp_path,
+                                                              capsys, command):
+    for p in ('1.5', '-1/3', '1/0', 'half'):
+        code, out, err = run_cli(capsys, command, '--nnf', demo_nnf, f'--p={p}')
+        assert code == 2 and out == ''
+        assert err.startswith('error: ') and err.count('\n') == 1
+    probs = tmp_path / "probs.txt"
+    for lines in (["1 1/2", "2 1.5", "3 1/2", "4 1/2"],
+                  ["1 1/2", "2 1/2", "3 -1", "4 1/2"]):
+        probs.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, command, '--nnf', demo_nnf,
+                                 '--prob-file', str(probs))
+        assert code == 2 and out == ''
+        assert err.startswith('error: ') and err.count('\n') == 1
+        assert 'outside [0, 1]' in err
+    probs.write_text("1 0\n2 1\n3 1/2\n4 1/2\n")
+    assert run_cli(capsys, 'wmc', '--nnf', demo_nnf, '--prob-file', str(probs))[0] == 0

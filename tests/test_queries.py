@@ -425,3 +425,37 @@ def test_max_times_wmc_equals_best_weight():
         top = wmc(c, wmap, MAX_TIMES)
         _, best = best_valuation(c, wmap)
         assert top == best
+
+
+def random_literal_run_circuit(rng, num_vars):
+    """Decision circuit whose AND gates hold several literals of both signs
+    next to constants and subcircuits."""
+    b = CircuitBuilder(num_vars)
+
+    def build(vars_left):
+        if not vars_left or rng.random() < 0.15:
+            return b.true() if rng.random() < 0.85 else b.false()
+        var, rest = vars_left[0], vars_left[1:]
+        branches = []
+        for pol in (False, True):
+            k = rng.randint(0, min(3, len(rest)))
+            kids = [b.literal(var, pol)]
+            kids += [b.literal(v, rng.random() < 0.5) for v in rest[:k]]
+            kids.insert(rng.randrange(len(kids) + 1), build(rest[k:]))
+            branches.append(b.conj(tuple(kids)))
+        return b.disj(tuple(branches))
+
+    return b.finish(build(list(range(num_vars))))
+
+
+def test_cardinality_with_literal_children_against_truth_tables():
+    from kcomp import compile_dpll
+    from test_certificates import random_cnf
+    rng = random.Random(67)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        for c in (random_literal_run_circuit(rng, n),
+                  compile_dpll(random_cnf(rng, n, rng.randint(1, 2 * n)))[0]):
+            models = models_of(c)
+            assert count_by_cardinality(smooth(c)) == [
+                sum(1 for m in models if m.count('1') == k) for k in range(n + 1)]
