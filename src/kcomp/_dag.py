@@ -14,6 +14,11 @@ shape, so they serve both circuit kinds: the variable of an input is its
 second field, and the `var_sets` of a relational circuit are its attribute
 sets.  Builders hash-cons records, so structurally equal subcircuits share
 one id, and `prune` keeps what is reachable from the output.
+
+`fold` evaluates a deterministic decomposable circuit in a semiring without
+asking for smoothness: an OR/union child that misses variables of its gate
+is padded with their contribution, and `Intervals` assembles such per-
+variable contributions from shared segment-tree pieces.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from .errors import InputFormatError
 GATES = ('A', 'O', 'J', 'U')
 INPUTS = ('L', 'I')
 _NONE = frozenset()
+# the constant an empty gate stands for
+_EMPTY = {'A': ('T',), 'O': ('F',), 'J': ('1',), 'U': ('0',)}
 
 
 def children(rec) -> tuple:
@@ -93,6 +100,112 @@ def rebuild(nodes, leaf, gates: dict) -> list:
         else:
             out.append(make(tuple(out[c] for c in rec[1])))
     return out
+
+
+def fold(nodes, sets, leaf, times, plus, pad, output, universe) -> tuple:
+    """Bottom-up semiring values of every node, and the output's value over
+    the universe.
+
+    leaf(rec) values an input or constant record (an empty gate counts as
+    the constant it stands for); AND/join children combine with times and
+    OR/union children with plus.  Before an OR child is added, pad(value,
+    gate_set, child_set) extends its value over the variables it misses,
+    and the output is padded against the universe the same way, so the
+    circuit need not be smooth.  Returns (values, output value).
+    """
+    vals = []
+    for nid, rec in enumerate(nodes):
+        kind = rec[0]
+        kids = rec[1] if kind in GATES else ()
+        if not kids:
+            vals.append(leaf(_EMPTY.get(kind, rec)))
+        elif kind == 'A' or kind == 'J':
+            acc = vals[kids[0]]
+            for c in kids[1:]:
+                acc = times(acc, vals[c])
+            vals.append(acc)
+        else:
+            gate = sets[nid]
+            width = len(gate)
+            acc = None
+            for c in kids:
+                val = vals[c]
+                if len(sets[c]) < width:
+                    val = pad(val, gate, sets[c])
+                acc = val if acc is None else plus(acc, val)
+            vals.append(acc)
+    top = vals[output]
+    if len(sets[output]) < len(universe):
+        top = pad(top, universe, sets[output])
+    return vals, top
+
+
+def branch_values(vals, sets, pad, gate: int, kids) -> list:
+    """The padded values that `fold` added up at an OR/union gate."""
+    width = len(sets[gate])
+    return [vals[c] if len(sets[c]) == width else pad(vals[c], sets[gate], sets[c])
+            for c in kids]
+
+
+class Intervals:
+    """Values over sets of variables, assembled from one segment tree over
+    a sorted order of the variables.
+
+    leaf(var) is the value of one variable and join(a, b) that of the union
+    of two disjoint sets.  Tree nodes are built lazily and memoised, and so
+    is the canonical cover of each maximal run of consecutive positions: a
+    set made of r runs is covered by at most 2 r ceil(log2 n) pieces.
+    """
+
+    def __init__(self, order, leaf, join):
+        self.order = order
+        self.position = {v: i for i, v in enumerate(order)}
+        self.leaf = leaf
+        self.join = join
+        self._segments = {}
+        self._covers = {}
+
+    def _segment(self, lo: int, hi: int):
+        """Value of order[lo:hi], a segment-tree node (depth log n)."""
+        g = self._segments.get((lo, hi))
+        if g is None:
+            if hi - lo == 1:
+                g = self.leaf(self.order[lo])
+            else:
+                mid = (lo + hi) // 2
+                g = self.join(self._segment(lo, mid), self._segment(mid, hi))
+            self._segments[(lo, hi)] = g
+        return g
+
+    def _cover(self, start: int, end: int) -> list:
+        """Canonical segment-tree pieces of order[start:end], ascending."""
+        pieces = self._covers.get((start, end))
+        if pieces is None:
+            pieces = []
+            stack = [(0, len(self.order))]
+            while stack:
+                lo, hi = stack.pop()
+                if start <= lo and hi <= end:
+                    pieces.append(self._segment(lo, hi))
+                elif lo < end and start < hi:
+                    mid = (lo + hi) // 2
+                    stack.append((mid, hi))
+                    stack.append((lo, mid))
+            self._covers[(start, end)] = pieces
+        return pieces
+
+    def pieces(self, variables) -> list:
+        """Segment-tree pieces covering a nonempty set of variables,
+        ascending."""
+        positions = sorted(map(self.position.__getitem__, variables))
+        out = []
+        start = positions[0]
+        for prev, p in zip(positions, positions[1:]):
+            if p != prev + 1:          # a run ends at prev
+                out += self._cover(start, prev + 1)
+                start = p
+        out += self._cover(start, positions[-1] + 1)
+        return out
 
 
 def truth_values(nodes, literal) -> list:

@@ -27,8 +27,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ._dag import (Builder, binary_splits, edge_count, rebuild, truth_values,
-                   var_sets)
+from ._dag import (Builder, Intervals, binary_splits, edge_count, rebuild,
+                   truth_values, var_sets)
 from .errors import NotDecomposable
 
 TRUE = ('T',)
@@ -363,16 +363,16 @@ def condition(circuit: BoolCircuit, partial: PartialValuation) -> BoolCircuit:
 def smooth(circuit: BoolCircuit) -> BoolCircuit:
     """Give every OR gate children with identical variable sets.
 
+    No query of this package needs a smooth circuit (their folds pad
+    missing variables arithmetically); this is for callers that want one.
     Each OR child is conjoined with tautologies over the variables it
-    misses.  The pads come from one segment tree over the sorted universe,
-    built lazily and shared by the whole circuit: a leaf is the decision-
+    misses.  The pads come from one `Intervals` segment tree over the
+    sorted universe, shared by the whole circuit: a leaf is the decision-
     shaped gadget (x and 1) or (not x and 1), so that decision-only
     circuits stay decision-only, and an inner node is the AND of its two
-    halves.  A child's missing variables split into maximal runs of
-    consecutive positions in sorted order, and each run is covered by at
-    most 2 ceil(log2 n) segment-tree pieces.  Padding thus costs O(log n)
-    edges per run, plus at most about 2n shared gadget nodes over the
-    whole circuit.  An already smooth circuit is returned as is.
+    halves.  Padding thus costs O(log n) edges per run of missing
+    variables, plus at most about 2n shared gadget nodes over the whole
+    circuit.  An already smooth circuit is returned as is.
     """
     is_nnf, is_decomposable, _, is_smooth = core_flags(circuit)
     if not is_nnf or not is_decomposable:
@@ -380,55 +380,14 @@ def smooth(circuit: BoolCircuit) -> BoolCircuit:
     if is_smooth:
         return circuit
     vsets = circuit.varsets()
-    order = sorted(circuit.universe)
-    position = {v: i for i, v in enumerate(order)}
     b = CircuitBuilder(circuit.universe)
-    segments = {}
-    covers = {}
 
-    def segment(lo: int, hi: int) -> int:
-        """Tautology over order[lo:hi], a segment-tree node (depth log n)."""
-        g = segments.get((lo, hi))
-        if g is None:
-            if hi - lo == 1:
-                var = order[lo]
-                g = b.disj((b.conj((b.literal(var, True), b.true())),
-                            b.conj((b.literal(var, False), b.true()))))
-            else:
-                mid = (lo + hi) // 2
-                g = b.conj((segment(lo, mid), segment(mid, hi)))
-            segments[(lo, hi)] = g
-        return g
+    def gadget(var: int) -> int:
+        return b.disj((b.conj((b.literal(var, True), b.true())),
+                       b.conj((b.literal(var, False), b.true()))))
 
-    def cover(start: int, end: int) -> list:
-        """Canonical segment-tree pieces of order[start:end], ascending."""
-        pieces = covers.get((start, end))
-        if pieces is None:
-            pieces = []
-            stack = [(0, len(order))]
-            while stack:
-                lo, hi = stack.pop()
-                if start <= lo and hi <= end:
-                    pieces.append(segment(lo, hi))
-                elif lo < end and start < hi:
-                    mid = (lo + hi) // 2
-                    stack.append((mid, hi))
-                    stack.append((lo, mid))
-            covers[(start, end)] = pieces
-        return pieces
-
-    def padding(missing: frozenset) -> tuple:
-        """Segment-tree pieces covering the missing variables, ascending."""
-        positions = sorted(map(position.__getitem__, missing))
-        out = []
-        start = positions[0]
-        for prev, p in zip(positions, positions[1:]):
-            if p != prev + 1:          # a run ends at prev
-                out += cover(start, prev + 1)
-                start = p
-        out += cover(start, positions[-1] + 1)
-        return tuple(out)
-
+    pads = Intervals(sorted(circuit.universe), gadget,
+                     lambda left, right: b.conj((left, right)))
     out = []
     for nid, rec in enumerate(circuit.nodes):
         kind = rec[0]
@@ -447,11 +406,11 @@ def smooth(circuit: BoolCircuit) -> BoolCircuit:
                 missing = gate_vars - vsets[c]
                 mapped = out[c]
                 if missing:
-                    pads = padding(missing)
+                    pieces = tuple(pads.pieces(missing))
                     if circuit.nodes[c][0] == 'A':
-                        mapped = b.conj(tuple(b.children(mapped)) + pads)
+                        mapped = b.conj(tuple(b.children(mapped)) + pieces)
                     else:
-                        mapped = b.conj((mapped,) + pads)
+                        mapped = b.conj((mapped,) + pieces)
                 new_children.append(mapped)
             out.append(b.disj(tuple(new_children)))
     return b.finish(out[circuit.output], circuit.var_names)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import cnf as cnf_mod
 from . import cq as cq_mod
 from . import nnf_io, relational, trees
-from .circuits import classify, smooth
+from .circuits import classify
 from .errors import InputFormatError, KcompError
 from .provenance import (TID, provenance_circuit_sjf, provenance_dnf,
                          provenance_read_once, pqe, shapley, shapley_all,
@@ -138,14 +138,14 @@ def cmd_check_class(args) -> int:
 
 
 def cmd_count(args) -> int:
-    circuit = smooth(nnf_io.read_nnf(_read(args.nnf)))
+    circuit = nnf_io.read_nnf(_read(args.nnf))
     count = model_count(circuit)
     _emit(args, str(count), {"count": count})
     return 0
 
 
 def cmd_wmc(args) -> int:
-    circuit = smooth(nnf_io.read_nnf(_read(args.nnf)))
+    circuit = nnf_io.read_nnf(_read(args.nnf))
     probs = _load_probs(args, circuit.universe)
     weights = WeightMap.from_probabilities(probs)
     if args.float:
@@ -169,7 +169,7 @@ def cmd_enum(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    circuit = smooth(nnf_io.read_nnf(_read(args.nnf)))
+    circuit = nnf_io.read_nnf(_read(args.nnf))
     rng = random.Random(args.seed)
     for _ in range(args.count):
         bits = _bits(circuit, sample_uniform(circuit, rng))
@@ -178,7 +178,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_best(args) -> int:
-    circuit = smooth(nnf_io.read_nnf(_read(args.nnf)))
+    circuit = nnf_io.read_nnf(_read(args.nnf))
     probs = _load_probs(args, circuit.universe)
     valuation, weight = best_valuation(circuit, WeightMap.from_probabilities(probs))
     bits = _bits(circuit, valuation)

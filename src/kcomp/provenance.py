@@ -32,7 +32,7 @@ from math import factorial, lcm
 from typing import Optional
 
 from ._dag import rebuild
-from .circuits import BoolCircuit, CircuitBuilder, DNFFormula, smooth
+from .circuits import BoolCircuit, CircuitBuilder, DNFFormula
 from .cq import (ConjunctiveQuery, Database, _check_relations, compile_cq,
                  domain_sort_key, homomorphisms, query_holds)
 from .errors import (InputFormatError, NotHierarchical, SelfJoinPresent,
@@ -386,8 +386,8 @@ def pqe(query: ConjunctiveQuery, tid: TID, mode: str = 'exact',
     fact_vars = FactVar(tid.db)
     probs = {fact_vars.var_of[f]: Fraction(tid.prob[f]) for f in fact_vars.facts}
     if mode == 'exact':
-        circuit = smooth(_hierarchical_obdd(query, tid.db))
-        return wmc(circuit, WeightMap.from_probabilities(probs))
+        return wmc(_hierarchical_obdd(query, tid.db),
+                   WeightMap.from_probabilities(probs))
     if mode == 'approx':
         if params is None:
             raise ValueError("approx mode needs ApproxParams")
@@ -401,8 +401,7 @@ def uniform_reliability(query: ConjunctiveQuery, db: Database,
     """Number of subinstances satisfying the query."""
     facts = db.facts()
     try:
-        circuit = smooth(_hierarchical_obdd(query, db))
-        return model_count(circuit)
+        return model_count(_hierarchical_obdd(query, db))
     except (NotHierarchical, SelfJoinPresent):
         pass
     if len(facts) > brute_force_limit:

@@ -1,15 +1,21 @@
 """Tractable tasks on certified circuits.
 
-Counting-style tasks need a smooth, decomposable circuit whose OR gates are
-decision gates (or whose determinism the caller vouches for with
-assume_deterministic, e.g. after conditioning a decision circuit, which
-keeps determinism but not the syntactic shape).  Counting paths use exact
-integer and Fraction arithmetic throughout; floats appear only when the
-caller supplies a float semiring or float weights.
+Counting-style tasks (model counts, weighted model counts, counts by
+cardinality, the sampler's counts, best valuations) are one bottom-up
+`_dag.fold` over a decomposable circuit whose OR gates are decision gates
+(or whose determinism the caller vouches for with assume_deterministic,
+e.g. after conditioning a decision circuit, which keeps determinism but not
+the syntactic shape).  The circuit need not be smooth: the variables an OR
+child misses, and those the output misses in the universe, are
+unconstrained, so the fold multiplies in their contribution (a factor 2
+each for counting, w(x) + w(not x) for WMC, max(w(x), w(not x)) for the
+best valuation).  Counting paths use exact integer and Fraction arithmetic
+throughout; floats appear only when the caller supplies a float semiring
+or float weights.
 
-Variables of the universe that the output gate does not mention are
-unconstrained: counts are scaled, enumeration expands them, sampling draws
-them as fair bits.
+Witnesses, samples and best valuations share one top-down descent that
+picks one child per OR gate; the variables it leaves unassigned are filled
+afterwards (0, fair bits, the heavier literal).  Enumeration expands them.
 """
 
 from __future__ import annotations
@@ -19,11 +25,12 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
-from ._dag import truth_values
+from ._dag import Intervals, branch_values, fold, truth_values
 from .circuits import BoolCircuit, DNFFormula, Valuation, core_flags
 from .errors import (IncompleteWeightMap, NotDNNF, NotSmoothDeterministicDNNF,
                      Unsatisfiable)
@@ -98,15 +105,61 @@ def _require_dnnf(circuit: BoolCircuit) -> tuple:
     return flags
 
 
-def _require_smooth_det(circuit: BoolCircuit, assume_deterministic: bool) -> tuple:
+def _require_deterministic(circuit: BoolCircuit, assume_deterministic: bool) -> tuple:
     flags = _require_dnnf(circuit)
-    if not flags[3]:
-        raise NotSmoothDeterministicDNNF("circuit is not smooth")
     if not flags[2] and not assume_deterministic:
         raise NotSmoothDeterministicDNNF(
             "OR gates are not decision-shaped; pass assume_deterministic=True "
             "only if determinism is certified elsewhere")
     return flags
+
+
+def _fold(circuit: BoolCircuit, literal, one, zero, times, plus, pad) -> tuple:
+    """`fold` with literal((var, positive)) on inputs and one/zero on the
+    constants."""
+    return fold(circuit.nodes, circuit.varsets(),
+                lambda rec: (literal(rec[1:]) if rec[0] == 'L'
+                             else one if rec[0] == 'T' else zero),
+                times, plus, pad, circuit.output, circuit.universe)
+
+
+def _weighted_fold(circuit: BoolCircuit, weights: WeightMap, one, zero,
+                   times, plus, gap) -> tuple:
+    """(values, output value, pad) of the fold of literal weights, where a
+    missing variable x weighs gap(w(x), w(not x)), taken from products over
+    shared segment-tree pieces of the sorted universe."""
+    weights.check_covers(circuit.universe)
+    pieces = Intervals(circuit.sorted_vars(),
+                       lambda v: gap(weights[(v, True)], weights[(v, False)]),
+                       times).pieces
+
+    def pad(value, gate, child):
+        for piece in pieces(gate - child):
+            value = times(value, piece)
+        return value
+
+    return _fold(circuit, weights.__getitem__, one, zero, times, plus, pad) + (pad,)
+
+
+def _descend(circuit: BoolCircuit, pick, fill) -> Valuation:
+    """A model from one top-down walk through every AND child and the child
+    pick(gate, children) names at each OR gate; the variables the walk
+    leaves unassigned then take fill(var), in sorted order."""
+    val = {}
+    stack = [circuit.output]
+    while stack:
+        nid = stack.pop()
+        rec = circuit.nodes[nid]
+        kind = rec[0]
+        if kind == 'L':
+            val[rec[1]] = 1 if rec[2] else 0
+        elif kind == 'A':
+            stack.extend(rec[1])
+        elif kind == 'O':
+            stack.append(pick(nid, rec[1]))
+    for v in sorted(circuit.universe - val.keys()):
+        val[v] = fill(v)
+    return val
 
 
 # -- SAT and witness ----------------------------------------------------------
@@ -127,152 +180,87 @@ def witness(circuit: BoolCircuit) -> Optional[Valuation]:
     flags = _sat_flags(circuit)
     if not flags[circuit.output]:
         return None
-    val = {v: 0 for v in circuit.universe}
-    stack = [circuit.output]
-    while stack:
-        rec = circuit.nodes[stack.pop()]
-        kind = rec[0]
-        if kind == 'L':
-            val[rec[1]] = 1 if rec[2] else 0
-        elif kind == 'A':
-            stack.extend(rec[1])
-        elif kind == 'O':
-            for c in rec[1]:
-                if flags[c]:
-                    stack.append(c)
-                    break
+    val = _descend(circuit, lambda nid, kids: next(c for c in kids if flags[c]),
+                   lambda var: 0)
     assert circuit.evaluate(val) == 1
     return val
 
 
 # -- counting ------------------------------------------------------------------
 
-def _gate_counts(circuit: BoolCircuit) -> list:
-    if circuit._counts is not None:
-        return circuit._counts
-    counts = []
-    for rec in circuit.nodes:
-        kind = rec[0]
-        if kind == 'T':
-            counts.append(1)
-        elif kind == 'F':
-            counts.append(0)
-        elif kind == 'L':
-            counts.append(1)
-        elif kind == 'A':
-            prod = 1
-            for c in rec[1]:
-                prod *= counts[c]
-            counts.append(prod)
-        else:
-            counts.append(sum(counts[c] for c in rec[1]))
-    circuit._counts = counts
-    return counts
+def _shift(count: int, gate: frozenset, child: frozenset) -> int:
+    return count << (len(gate) - len(child))
+
+
+def _gate_counts(circuit: BoolCircuit) -> tuple:
+    """(model count of every node over its own variables, model count over
+    the universe), cached on the circuit."""
+    if circuit._counts is None:
+        circuit._counts = _fold(circuit, lambda key: 1, 1, 0,
+                                operator.mul, operator.add, _shift)
+    return circuit._counts
 
 
 def model_count(circuit: BoolCircuit, assume_deterministic: bool = False) -> int:
     """Exact number of satisfying valuations over the variable universe."""
-    _require_smooth_det(circuit, assume_deterministic)
-    counts = _gate_counts(circuit)
-    free = len(circuit.universe) - len(circuit.varsets()[circuit.output])
-    return counts[circuit.output] << free if counts[circuit.output] else 0
+    _require_deterministic(circuit, assume_deterministic)
+    return _gate_counts(circuit)[1]
 
 
 def wmc(circuit: BoolCircuit, weights: WeightMap, semiring: Semiring = RATIONAL,
         assume_deterministic: bool = False):
     """Semiring sum over satisfying valuations of literal weight products."""
-    _require_smooth_det(circuit, assume_deterministic)
-    weights.check_covers(circuit.universe)
-    plus, times = semiring.plus, semiring.times
-    vals = []
-    for rec in circuit.nodes:
-        kind = rec[0]
-        if kind == 'T':
-            vals.append(semiring.one)
-        elif kind == 'F':
-            vals.append(semiring.zero)
-        elif kind == 'L':
-            vals.append(weights[(rec[1], rec[2])])
-        elif kind == 'A':
-            acc = semiring.one
-            for c in rec[1]:
-                acc = times(acc, vals[c])
-            vals.append(acc)
-        else:
-            kids = rec[1]
-            acc = vals[kids[0]] if kids else semiring.zero
-            for c in kids[1:]:
-                acc = plus(acc, vals[c])
-            vals.append(acc)
-    result = vals[circuit.output]
-    for v in circuit.universe - circuit.varsets()[circuit.output]:
-        result = times(result, plus(weights[(v, True)], weights[(v, False)]))
-    return result
+    _require_deterministic(circuit, assume_deterministic)
+    return _weighted_fold(circuit, weights, semiring.one, semiring.zero,
+                          semiring.times, semiring.plus, semiring.plus)[1]
+
+
+# a positive and a negative literal as polynomials in z; the fold's leaves
+# share these lists, so a product can shift by a literal instead of
+# convolving with it
+_Z = [0, 1]
+_UNIT = [1, 0]
+
+
+def _convolve(a: list, b: list) -> list:
+    """Product of two polynomials in z, as coefficient lists."""
+    if a is _Z or a is _UNIT:
+        a, b = b, a
+    if b is _Z:
+        return [0] + a
+    if b is _UNIT:
+        # like the convolution it replaces, it lengthens the vector by one
+        return a + [0]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
 
 
 def count_by_cardinality(circuit: BoolCircuit,
                          assume_deterministic: bool = False) -> list:
     """Vector c with c[k] = number of satisfying valuations of weight k.
 
-    AND combines children by convolution, OR adds pointwise; unmentioned
-    universe variables contribute a binomial factor.  A literal child of an
-    AND is the polynomial z or 1, so it shifts the product instead.
+    The fold over polynomials in z: a node's vector has one entry per
+    weight 0..|var(node)|, AND convolves (a literal child shifts), OR adds,
+    and k missing variables convolve with the binomial row (1 + z)^k.
     """
-    _require_smooth_det(circuit, assume_deterministic)
-    nodes = circuit.nodes
-    vsets = circuit.varsets()
-    vecs = []
-    for nid, rec in enumerate(nodes):
-        kind = rec[0]
-        if kind == 'T':
-            vecs.append([1])
-        elif kind == 'F':
-            vecs.append([0])
-        elif kind == 'L':
-            vecs.append([0, 1] if rec[2] else [1, 0])
-        elif kind == 'A':
-            acc = None
-            positive = negative = 0
-            for c in rec[1]:
-                crec = nodes[c]
-                if crec[0] == 'L':
-                    if crec[2]:
-                        positive += 1
-                    else:
-                        negative += 1
-                    continue
-                child = vecs[c]
-                if acc is None:
-                    acc = child
-                    continue
-                out = [0] * (len(acc) + len(child) - 1)
-                for i, a in enumerate(acc):
-                    if a:
-                        for j, bv in enumerate(child):
-                            if bv:
-                                out[i + j] += a * bv
-                acc = out
-            # like the convolution it replaces, a negative literal (times 1)
-            # still lengthens the vector by one
-            vecs.append([0] * positive + (acc or [1]) + [0] * negative)
-        else:
-            width = len(vsets[nid]) + 1
-            acc = [0] * width
-            for c in rec[1]:
-                for i, a in enumerate(vecs[c]):
-                    acc[i] += a
-            vecs.append(acc)
-    result = vecs[circuit.output]
-    free = len(circuit.universe) - len(vsets[circuit.output])
-    if free:
-        binom = [math.comb(free, k) for k in range(free + 1)]
-        out = [0] * (len(result) + free)
-        for i, a in enumerate(result):
-            if a:
-                for j, bv in enumerate(binom):
-                    out[i + j] += a * bv
-        result = out
-    return result + [0] * (len(circuit.universe) + 1 - len(result))
+    _require_deterministic(circuit, assume_deterministic)
+    rows = {}
+
+    def pad(vec: list, gate: frozenset, child: frozenset) -> list:
+        k = len(gate) - len(child)
+        row = rows.get(k)
+        if row is None:
+            row = rows[k] = [math.comb(k, j) for j in range(k + 1)]
+        return _convolve(vec, row)
+
+    _, top = _fold(circuit, lambda key: _Z if key[1] else _UNIT, [1], [0],
+                   _convolve, lambda a, b: [x + y for x, y in zip(a, b)], pad)
+    return list(top)
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -370,104 +358,61 @@ def sample_uniform(circuit: BoolCircuit, rng: random.Random,
     """One satisfying valuation, exactly uniform.
 
     Gate counts are cached on first use; each sample is a top-down descent
-    choosing OR children proportionally to their counts, with unmentioned
-    variables drawn as fair bits (in sorted order, for reproducibility).
+    choosing OR children proportionally to their counts over the gate's
+    variables, with the variables it leaves unassigned drawn as fair bits
+    (in sorted order, for reproducibility).
     """
-    _require_smooth_det(circuit, assume_deterministic)
-    counts = _gate_counts(circuit)
-    if counts[circuit.output] == 0:
+    _require_deterministic(circuit, assume_deterministic)
+    counts, total = _gate_counts(circuit)
+    if total == 0:
         raise Unsatisfiable("cannot sample from an unsatisfiable circuit")
-    val = {}
-    stack = [circuit.output]
-    while stack:
-        rec = circuit.nodes[stack.pop()]
-        kind = rec[0]
-        if kind == 'L':
-            val[rec[1]] = 1 if rec[2] else 0
-        elif kind == 'A':
-            stack.extend(rec[1])
-        elif kind == 'O':
-            r = rng.randrange(sum(counts[c] for c in rec[1]))
-            for c in rec[1]:
-                if r < counts[c]:
-                    stack.append(c)
-                    break
-                r -= counts[c]
-    for v in sorted(circuit.universe - set(val)):
-        val[v] = rng.randrange(2)
-    return val
+    sets = circuit.varsets()
+
+    def pick(nid: int, kids: tuple) -> int:
+        weights = branch_values(counts, sets, _shift, nid, kids)
+        r = rng.randrange(sum(weights))
+        for c, w in zip(kids, weights):
+            if r < w:
+                return c
+            r -= w
+
+    return _descend(circuit, pick, lambda var: rng.randrange(2))
 
 
 # -- best valuation ----------------------------------------------------------------
 
+def _times_or_none(a, b):
+    return None if a is None or b is None else a * b
+
+
+def _max_or_none(a, b):
+    return a if b is None or (a is not None and a >= b) else b
+
+
 def best_valuation(circuit: BoolCircuit, weights: WeightMap,
                    assume_deterministic: bool = False):
-    """Satisfying valuation of maximal literal-weight product.
+    """Satisfying valuation of maximal literal-weight product, with that
+    product.
 
-    Needs strictly positive weights; ties at an OR gate break toward the
-    lowest-indexed child, and an unmentioned variable takes value 0 on a
-    tie between its two weights.
+    The max-times fold, where None stands for "no valuation" and 0 is an
+    ordinary weight.  Ties at an OR gate break toward the lowest-indexed
+    child, and a variable the descent leaves unassigned takes its heavier
+    literal, value 0 on a tie between its two weights.
     """
-    _require_smooth_det(circuit, assume_deterministic)
-    weights.check_covers(circuit.universe)
-    best = []
-    choice = []
-    for rec in circuit.nodes:
-        kind = rec[0]
-        if kind == 'T':
-            best.append(1)
-            choice.append(None)
-        elif kind == 'F':
-            best.append(None)
-            choice.append(None)
-        elif kind == 'L':
-            w = weights[(rec[1], rec[2])]
-            if w <= 0:
-                raise ValueError("best_valuation needs strictly positive weights")
-            best.append(w)
-            choice.append(None)
-        elif kind == 'A':
-            acc = 1
-            for c in rec[1]:
-                if best[c] is None:
-                    acc = None
-                    break
-                acc = acc * best[c]
-            best.append(acc)
-            choice.append(None)
-        else:
-            top = None
-            pick = None
-            for i, c in enumerate(rec[1]):
-                if best[c] is not None and (top is None or best[c] > top):
-                    top = best[c]
-                    pick = i
-            best.append(top)
-            choice.append(pick)
-    if best[circuit.output] is None:
+    _require_deterministic(circuit, assume_deterministic)
+    vals, top, pad = _weighted_fold(circuit, weights, 1, None,
+                                    _times_or_none, _max_or_none, max)
+    if top is None:
         raise Unsatisfiable("no satisfying valuation")
-    val = {}
-    stack = [circuit.output]
-    while stack:
-        nid = stack.pop()
-        rec = circuit.nodes[nid]
-        kind = rec[0]
-        if kind == 'L':
-            val[rec[1]] = 1 if rec[2] else 0
-        elif kind == 'A':
-            stack.extend(rec[1])
-        elif kind == 'O':
-            stack.append(rec[1][choice[nid]])
-    weight = best[circuit.output]
-    for v in sorted(circuit.universe - set(val)):
-        wpos, wneg = weights[(v, True)], weights[(v, False)]
-        if wpos > wneg:
-            val[v] = 1
-            weight = weight * wpos
-        else:
-            val[v] = 0
-            weight = weight * wneg
-    return val, weight
+    sets = circuit.varsets()
+
+    def pick(nid: int, kids: tuple) -> int:
+        values = branch_values(vals, sets, pad, nid, kids)
+        return kids[values.index(reduce(_max_or_none, values))]
+
+    val = _descend(circuit, pick,
+                   lambda v: 1 if weights[(v, True)] > weights[(v, False)] else 0)
+    return val, top
 
 
 # -- approximate DNF counting --------------------------------------------------

@@ -28,11 +28,13 @@ circuits support counting, enumeration, and lexicographic direct access.
 from __future__ import annotations
 
 import heapq
+import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from ._dag import Builder, edge_count, rebuild, resolve, var_sets
+from ._dag import Builder, edge_count, fold, rebuild, resolve, var_sets
 from .circuits import BoolCircuit, CircuitBuilder, _LazyWitness
 from .errors import (DomainViolation, InputFormatError, NonBooleanDomain,
                      NotCountable, NotDecomposable, NotOrdered, OutOfRange)
@@ -284,46 +286,28 @@ def _require_countable(circuit: RelCircuit, assume_disjoint: bool):
         "with certified disjointness) on a decomposable circuit")
 
 
-def _gate_counts(circuit: RelCircuit) -> list:
-    """Per-gate |rel| over the gate's own attributes."""
-    if circuit._counts is not None:
-        return circuit._counts
-    attrsets = circuit.attrsets()
-    counts = []
-    for nid, rec in enumerate(circuit.nodes):
-        kind = rec[0]
-        if kind == 'I':
-            counts.append(1)
-        elif kind == '1':
-            counts.append(1)
-        elif kind == '0':
-            counts.append(0)
-        elif kind == 'J':
-            prod = 1
-            for c in rec[1]:
-                prod *= counts[c]
-            counts.append(prod)
-        else:
-            gate = attrsets[nid]
-            total = 0
-            for c in rec[1]:
-                sub = counts[c]
-                for a in gate - attrsets[c]:
-                    sub *= circuit.ext_domain_size(a)
-                total += sub
-            counts.append(total)
-    circuit._counts = counts
-    return counts
+def _extension_pad(circuit: RelCircuit):
+    """fold pad: a count times the extended domain sizes of the attributes
+    a union child misses."""
+    size = circuit.ext_domain_size
+    return lambda count, gate, child: count * math.prod(map(size, gate - child))
+
+
+def _gate_counts(circuit: RelCircuit) -> tuple:
+    """(per-gate |rel| over the gate's own attributes, |rel| over the
+    attribute universe), cached on the circuit."""
+    if circuit._counts is None:
+        circuit._counts = fold(circuit.nodes, circuit.attrsets(),
+                               lambda rec: 0 if rec[0] == '0' else 1,
+                               operator.mul, operator.add, _extension_pad(circuit),
+                               circuit.output, frozenset(range(len(circuit.attrs))))
+    return circuit._counts
 
 
 def count_rel(circuit: RelCircuit, assume_disjoint: bool = False) -> int:
     """Number of tuples over the attribute universe."""
     _require_countable(circuit, assume_disjoint)
-    counts = _gate_counts(circuit)
-    total = counts[circuit.output]
-    for a in set(range(len(circuit.attrs))) - circuit.attrsets()[circuit.output]:
-        total *= circuit.ext_domain_size(a)
-    return total
+    return _gate_counts(circuit)[1]
 
 
 # -- enumeration ---------------------------------------------------------------------
@@ -388,7 +372,8 @@ class _AccessIndex:
     """
 
     def __init__(self, circuit: RelCircuit):
-        counts = _gate_counts(circuit)
+        counts = _gate_counts(circuit)[0]
+        pad = _extension_pad(circuit)
         attrsets = circuit.attrsets()
         self.branches = {}
         for nid, rec in enumerate(circuit.nodes):
@@ -398,13 +383,11 @@ class _AccessIndex:
             if parsed is None:
                 raise NotOrdered("direct access needs decision-shaped unions")
             attr, pairs = parsed
-            gate_attrs = attrsets[nid]
+            gate_attrs = attrsets[nid] - {attr}
             rows = []
             for vi, cont in pairs:
-                ext = sorted(gate_attrs - {attr} - attrsets[cont])
-                local = counts[cont]
-                for a in ext:
-                    local *= circuit.ext_domain_size(a)
+                ext = sorted(gate_attrs - attrsets[cont])
+                local = pad(counts[cont], gate_attrs, attrsets[cont])
                 if local:
                     rows.append((vi, cont, tuple(ext), local))
             rows.sort()
@@ -434,7 +417,7 @@ def direct_access(circuit: RelCircuit, index: int) -> dict:
     if index < 1:
         raise OutOfRange(f"answer indexes are 1-based, got {index}")
     access = _prepare_access(circuit)
-    counts = _gate_counts(circuit)
+    counts, total = _gate_counts(circuit)
     attrsets = circuit.attrsets()
 
     frontier = []          # heap of (attr, kind_tag, payload)
@@ -458,11 +441,7 @@ def direct_access(circuit: RelCircuit, index: int) -> dict:
         for a in attrs_:
             heapq.heappush(frontier, (a, 0, None))
 
-    outside = set(range(len(circuit.attrs))) - attrsets[circuit.output]
-    total = counts[circuit.output]
-    for a in outside:
-        total *= circuit.ext_domain_size(a)
-    push_free(outside)
+    push_free(set(range(len(circuit.attrs))) - attrsets[circuit.output])
     if counts[circuit.output]:
         push_gate(circuit.output)
     if index > total:

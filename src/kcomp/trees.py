@@ -256,11 +256,10 @@ def _require_deterministic(automaton):
 
 def pqe_tree(automaton: TreeAutomaton, prob_tree: ProbTree) -> Fraction:
     """Probability that a random world of the tree is accepted; exact."""
-    from .circuits import smooth
     from .queries import WeightMap, wmc
     circuit, _ = provenance_tree(automaton, prob_tree)
     probs = {i: Fraction(prob_tree.prob[i]) for i in range(len(circuit.universe))}
-    return wmc(smooth(circuit), WeightMap.from_probabilities(probs))
+    return wmc(circuit, WeightMap.from_probabilities(probs))
 
 
 def answer_circuit(automaton: TreeAutomaton, tree: TreeNode) -> tuple:

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from kcomp.circuits import CircuitBuilder
 from kcomp.cli import main
 from kcomp.nnf_io import write_nnf
 
-from test_circuits import demo_decision
+from test_circuits import DEMO_ROWS, demo_decision
 
 
 @pytest.fixture
@@ -63,6 +64,19 @@ def test_sample_deterministic(demo_nnf, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert len(out1.split()) == 5
+
+
+def test_best_with_probability_zero_and_one(demo_nnf, tmp_path, capsys):
+    # every demo model has a 0 and a 1 bit, so its best weight is 0 either way
+    for p in ('0', '1'):
+        code, out, _ = run_cli(capsys, 'best', '--nnf', demo_nnf, '--p', p)
+        bits, weight = out.split()
+        assert code == 0 and bits in DEMO_ROWS and weight == '0'
+    b = CircuitBuilder(2)
+    path = tmp_path / "x1.nnf"
+    path.write_text(write_nnf(b.finish(b.literal(0))))
+    code, out, _ = run_cli(capsys, 'best', '--nnf', str(path), '--p', '1')
+    assert code == 0 and out.split() == ['11', '1']
 
 
 def test_compile_cnf_round_trip(tmp_path, capsys):

@@ -88,8 +88,7 @@ def test_model_count_provenance_demo():
 
 
 def test_model_count_requires_smooth_and_decision():
-    with pytest.raises(NotSmoothDeterministicDNNF):
-        model_count(demo_decision())        # not smooth
+    assert model_count(demo_decision()) == count_models(demo_decision())
     with pytest.raises(NotSmoothDeterministicDNNF):
         model_count(smooth(demo_dnnf()))    # smooth but not deterministic
     assert model_count(smooth(demo_dnnf()), assume_deterministic=True) >= 6
@@ -279,6 +278,27 @@ def test_best_matches_enumeration_max():
         best = max(weighted_product(weights, v, c.sorted_vars())
                    for v in enumerate_models(c))
         assert weight == best
+
+
+def test_best_with_zero_one_weights_against_brute_force():
+    rng = random.Random(71)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        c = random_decision_circuit(rng, range(n))
+        weights = WeightMap.from_probabilities(
+            {v: Fraction(rng.randint(0, 1)) for v in range(n)})
+        models = models_of(c)
+        if not models:
+            with pytest.raises(Unsatisfiable):
+                best_valuation(c, weights)
+            continue
+        svars = c.sorted_vars()
+        val, weight = best_valuation(c, weights)
+        assert bits_of(c, val) in models
+        assert weight == weighted_product(weights, val, svars)
+        assert weight == max(
+            weighted_product(weights, {v: int(m[j]) for j, v in enumerate(svars)}, svars)
+            for m in models)
 
 
 def weighted_product(weights, val, svars):

@@ -1,6 +1,7 @@
 """Smoothing on shared interval gadgets against the per-variable reference:
 same answers from every counting task, the same samples, the same flags,
-and O(log n) padding edges per run of missing variables."""
+and O(log n) padding edges per run of missing variables.  The counting
+tasks give the same answers on a circuit as on its smoothed copy."""
 
 import math
 import random
@@ -13,7 +14,7 @@ from kcomp.queries import (WeightMap, best_valuation, count_by_cardinality,
 
 from oracles import models_of, smooth_per_variable
 from test_certificates import random_cnf, random_dnnf
-from test_queries import random_decision_circuit
+from test_queries import bits_of, random_decision_circuit, weighted_product
 
 
 def relabel(circuit, rng):
@@ -88,3 +89,48 @@ def test_smooth_pads_a_shared_run_in_log_edges():
     log_n = math.ceil(math.log2(len(c.universe)))
     assert s.size - c.size <= 8 * n + 2 * k * log_n
     assert smooth_per_variable(c).size - c.size >= k * n
+
+
+def test_queries_on_unsmoothed_circuits_agree_with_smoothed():
+    rng = random.Random(89)
+    for c, assume in corpus(89):
+        s = smooth(c)
+        # independent literal weights, so w(x) + w(not x) is rarely 1, and
+        # some of them are 0
+        weights = WeightMap({(v, pol): Fraction(rng.randint(0, 9), rng.randint(1, 9))
+                             for v in c.universe for pol in (True, False)})
+        for task in (model_count, count_by_cardinality):
+            assert task(c, assume_deterministic=assume) == task(
+                s, assume_deterministic=assume)
+        assert wmc(c, weights, assume_deterministic=assume) == wmc(
+            s, weights, assume_deterministic=assume)
+        models = models_of(c)
+        if not models:
+            continue
+        val, weight = best_valuation(c, weights, assume_deterministic=assume)
+        assert weight == best_valuation(s, weights, assume_deterministic=assume)[1]
+        assert bits_of(c, val) in models
+        assert weight == weighted_product(weights, val, c.sorted_vars())
+        draws = random.Random(rng.randrange(1 << 30))
+        for _ in range(6):
+            assert bits_of(c, sample_uniform(c, draws, assume_deterministic=assume)) in models
+
+
+def test_sampling_unsmoothed_circuits_is_uniform():
+    rng = random.Random(97)
+    checked = 0
+    while checked < 6:
+        n = rng.randint(3, 4)
+        c = random_decision_circuit(rng, list(range(n)))
+        models = models_of(c)
+        if core_flags(c)[3] or len(models) < 2:
+            continue
+        checked += 1
+        draws = 3000
+        draw = random.Random(rng.randrange(1 << 30))
+        freq = dict.fromkeys(models, 0)
+        for _ in range(draws):
+            freq[bits_of(c, sample_uniform(c, draw))] += 1
+        p = 1 / len(models)
+        sigma = math.sqrt(draws * p * (1 - p))
+        assert all(abs(f - draws * p) <= 5 * sigma for f in freq.values())
