@@ -18,7 +18,9 @@ one id, and `prune` keeps what is reachable from the output.
 `fold` evaluates a deterministic decomposable circuit in a semiring without
 asking for smoothness: an OR/union child that misses variables of its gate
 is padded with their contribution, and `Intervals` assembles such per-
-variable contributions from shared segment-tree pieces.
+variable contributions from shared segment-tree pieces.  `answers`
+enumerates such a circuit from an explicit stack, expanding the variables
+an OR/union child misses the same way.
 """
 
 from __future__ import annotations
@@ -138,6 +140,70 @@ def fold(nodes, sets, leaf, times, plus, pad, output, universe) -> tuple:
     if len(sets[output]) < len(universe):
         top = pad(top, universe, sets[output])
     return vals, top
+
+
+def _branch(nid: int, gate: frozenset, child: frozenset, rest):
+    """Pending work nid, then (once nid succeeds) the variables it misses."""
+    return nid, ((gate, child), rest) if len(child) < len(gate) else rest
+
+
+def answers(nodes, sets, value, domain, output, universe):
+    """Every answer of a decomposable circuit whose OR/union gates are
+    disjoint, each once, as a dict that is overwritten in place.
+
+    value(rec) is the (variable, value) of an input; a variable that an
+    OR/union child (or the output, in the universe) misses ranges over
+    domain(var).  Earlier choices vary slower: the first AND/join child
+    before the next, an OR/union child before its missing variables, and
+    those smallest first.  No recursion: pending work is a cons list of
+    node ids, ~var and (gate set, child set) pads, and each OR/union or
+    missing variable is a choice point [alternatives, next, rest, tag].
+    Nothing is unassigned on backtracking, as every alternative at a
+    choice point assigns the same variables.
+    """
+    assignment = {}
+    choices = []
+    pending = _branch(output, universe, sets[output], None)
+    while True:
+        if pending is None:
+            yield assignment
+        else:
+            item, pending = pending
+            if item.__class__ is tuple:
+                for var in sorted(item[0] - item[1], reverse=True):
+                    pending = (~var, pending)
+                continue
+            rec = nodes[item] if item >= 0 else None
+            if rec is None:             # a missing variable
+                choices.append([domain(~item), 0, pending, item])
+            elif rec[0] == 'A' or rec[0] == 'J':
+                for c in reversed(rec[1]):
+                    pending = (c, pending)
+                continue
+            elif rec[0] in INPUTS:
+                var, val = value(rec)
+                assignment[var] = val
+                continue
+            elif rec[0] == 'T' or rec[0] == '1':
+                continue
+            elif rec[0] == 'O' or rec[0] == 'U':
+                choices.append([rec[1], 0, pending, item])
+        # an answer, a new choice point or a dead end: take the next
+        # alternative of the newest choice point that has one
+        while choices:
+            point = choices[-1]
+            alts, i, rest, tag = point
+            if i < len(alts):
+                point[1] = i + 1
+                if tag < 0:
+                    assignment[~tag] = alts[i]
+                    pending = rest
+                else:
+                    pending = _branch(alts[i], sets[tag], sets[alts[i]], rest)
+                break
+            choices.pop()
+        else:
+            return
 
 
 def branch_values(vals, sets, pad, gate: int, kids) -> list:

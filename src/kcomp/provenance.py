@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Optional
 
-from ._dag import rebuild
+from ._dag import fold, rebuild
 from .circuits import BoolCircuit, CircuitBuilder, DNFFormula
 from .cq import (ConjunctiveQuery, Database, _check_relations, compile_cq,
                  domain_sort_key, homomorphisms, query_holds)
@@ -457,11 +457,11 @@ def _shapley_by_derivative(query: ConjunctiveQuery, tid: TID) -> Optional[dict]:
     each endogenous fact x is present with probability p_x and the
     exogenous facts always are, phi_x = integral over t in [0, 1] of
     dF/dp_x at p = (t, ..., t).  Node values are integer polynomials in t
-    (endogenous literals t and 1 - t, exogenous ones 1 and 0), so an OR
-    child's missing variables contribute w(x) + w(not x) = 1 and no
-    smoothing is needed.  The top-down pass gives each node the derivative
-    of F by its value; dF/dp_x is that of x's positive literal minus that
-    of its negative one.
+    from one `_dag.fold` (endogenous literals t and 1 - t, exogenous ones 1
+    and 0), whose pad is the identity: an OR child's missing variables
+    contribute w(x) + w(not x) = 1, so no smoothing is needed.  The
+    top-down pass gives each node the derivative of F by its value; dF/dp_x
+    is that of x's positive literal minus that of its negative one.
     """
     try:
         circuit = _hierarchical_obdd(query, tid.db)
@@ -472,26 +472,15 @@ def _shapley_by_derivative(query: ConjunctiveQuery, tid: TID) -> Optional[dict]:
     endo_vars = {fact_vars.var_of[f] for f in endo}
     nodes = circuit.nodes
     one, zero = [1], []
-    vals = []
-    for rec in nodes:
-        kind = rec[0]
-        if kind == 'L':
-            if rec[1] in endo_vars:
-                vals.append([0, 1] if rec[2] else [1, -1])
-            else:
-                vals.append(one if rec[2] else zero)
-        elif kind == 'A':
-            acc = one
-            for c in rec[1]:
-                acc = _poly_mul(acc, vals[c])
-            vals.append(acc)
-        elif kind == 'O':
-            acc = zero
-            for c in rec[1]:
-                acc = _poly_add(acc, vals[c])
-            vals.append(acc)
-        else:
-            vals.append(one if kind == 'T' else zero)
+
+    def leaf(rec) -> list:
+        if rec[0] == 'L' and rec[1] in endo_vars:
+            return [0, 1] if rec[2] else [1, -1]
+        return one if rec[0] == 'T' or rec[0] == 'L' and rec[2] else zero
+
+    vals, _ = fold(nodes, circuit.varsets(), leaf, _poly_mul, _poly_add,
+                   lambda value, gate, child: value, circuit.output,
+                   circuit.universe)
 
     adjoint = [zero] * len(nodes)
     adjoint[circuit.output] = one

@@ -15,7 +15,10 @@ or float weights.
 
 Witnesses, samples and best valuations share one top-down descent that
 picks one child per OR gate; the variables it leaves unassigned are filled
-afterwards (0, fair bits, the heavier literal).  Enumeration expands them.
+afterwards (0, fair bits, the heavier literal).  Enumeration walks the
+same choices from an explicit stack (`_dag.answers`, shared with relational
+circuits), taking every child of each OR gate in turn and expanding the
+variables a child misses over both values.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
-from ._dag import Intervals, branch_values, fold, truth_values
+from ._dag import Intervals, answers, branch_values, fold, truth_values
 from .circuits import BoolCircuit, DNFFormula, Valuation, core_flags
 from .errors import (IncompleteWeightMap, NotDNNF, NotSmoothDeterministicDNNF,
                      Unsatisfiable)
@@ -265,52 +268,13 @@ def count_by_cardinality(circuit: BoolCircuit,
 
 # -- enumeration ----------------------------------------------------------------
 
-def _expand_free(partial: dict, free_vars: list) -> Iterator[Valuation]:
-    if not free_vars:
-        yield dict(partial)
-        return
-    n = len(free_vars)
-    for m in range(1 << n):
-        out = dict(partial)
-        for j, v in enumerate(free_vars):
-            out[v] = (m >> (n - 1 - j)) & 1
-        yield out
-
-
-def _gen_decision(circuit: BoolCircuit, nid: int) -> Iterator[dict]:
-    """Yield assignments over var(nid) for a decision-only circuit."""
-    rec = circuit.nodes[nid]
-    kind = rec[0]
-    vsets = circuit.varsets()
-    if kind == 'T':
-        yield {}
-    elif kind == 'F':
-        return
-    elif kind == 'L':
-        yield {rec[1]: 1 if rec[2] else 0}
-    elif kind == 'A':
-        def product(idx: int, acc: dict) -> Iterator[dict]:
-            if idx == len(rec[1]):
-                yield acc
-                return
-            for part in _gen_decision(circuit, rec[1][idx]):
-                merged = dict(acc)
-                merged.update(part)
-                yield from product(idx + 1, merged)
-        yield from product(0, {})
-    else:
-        gate_vars = vsets[nid]
-        for c in rec[1]:
-            missing = sorted(gate_vars - vsets[c])
-            for part in _gen_decision(circuit, c):
-                yield from _expand_free(part, missing)
-
-
 def _gen_conditioning(circuit: BoolCircuit) -> Iterator[Valuation]:
     """Lexicographic DFS over variables with a SAT test per branch.
 
     Works on any DNNF; each test is one bottom-up pass, so the delay is
-    O(n |C|) and no duplicates can occur.
+    O(n |C|) and no duplicates can occur.  The assignment is the stack: it
+    holds the smallest variables in order, and bit is the next value to try
+    for the first variable it lacks.
     """
     svars = circuit.sorted_vars()
     assignment = {}
@@ -319,34 +283,41 @@ def _gen_conditioning(circuit: BoolCircuit) -> Iterator[Valuation]:
         bit = assignment.get(var)
         return bit is None or bool(bit) == positive
 
-    def descend(idx: int) -> Iterator[Valuation]:
-        if idx == len(svars):
+    if not satisfiable(circuit):
+        return
+    bit = 0
+    while True:
+        depth = len(assignment)
+        if depth == len(svars):
             yield dict(assignment)
-            return
-        var = svars[idx]
-        for bit in (0, 1):
-            assignment[var] = bit
+        elif bit < 2:
+            assignment[svars[depth]] = bit
             if truth_values(circuit.nodes, literal)[circuit.output]:
-                yield from descend(idx + 1)
-            del assignment[var]
-
-    if satisfiable(circuit):
-        yield from descend(0)
+                bit = 0
+            else:
+                bit = assignment.popitem()[1] + 1
+            continue
+        if not assignment:
+            return
+        bit = assignment.popitem()[1] + 1
 
 
 def enumerate_models(circuit: BoolCircuit) -> Iterator[Valuation]:
     """All satisfying valuations over the universe, each exactly once.
 
-    Decision-only circuits take the fast path: constant memory between
-    outputs and per-output work linear in the number of variables.  Other
+    Decision-only circuits take the fast path, the stack-based
+    `_dag.answers` walk shared with relational circuits: it takes each
+    child of an OR gate in turn and expands the variables that child
+    misses, in memory linear in the circuit whatever its depth.  Other
     DNNFs fall back to conditioning, whose delay also does not grow with
     the number of answers already produced.
     """
     flags = _require_dnnf(circuit)
     if flags[2]:
-        free = sorted(circuit.universe - circuit.varsets()[circuit.output])
-        for part in _gen_decision(circuit, circuit.output):
-            yield from _expand_free(part, free)
+        for model in answers(circuit.nodes, circuit.varsets(),
+                             lambda rec: (rec[1], 1 if rec[2] else 0),
+                             lambda var: (0, 1), circuit.output, circuit.universe):
+            yield model.copy()
     else:
         yield from _gen_conditioning(circuit)
 

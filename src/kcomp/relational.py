@@ -34,7 +34,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from ._dag import Builder, edge_count, fold, rebuild, resolve, var_sets
+from ._dag import (Builder, answers, edge_count, fold, rebuild, resolve,
+                   var_sets)
 from .circuits import BoolCircuit, CircuitBuilder, _LazyWitness
 from .errors import (DomainViolation, InputFormatError, NonBooleanDomain,
                      NotCountable, NotDecomposable, NotOrdered, OutOfRange)
@@ -313,51 +314,20 @@ def count_rel(circuit: RelCircuit, assume_disjoint: bool = False) -> int:
 # -- enumeration ---------------------------------------------------------------------
 
 def enumerate_rel(circuit: RelCircuit, assume_disjoint: bool = False) -> Iterator[dict]:
-    """Yield each tuple of the relation exactly once, as attr -> value."""
+    """Yield each tuple of the relation exactly once, as attr -> value.
+
+    The stack-based `_dag.answers` walk shared with Boolean circuits: each
+    child of a union in turn, with the attributes it misses expanded over
+    their extended domains, in domain order.
+    """
     _require_countable(circuit, assume_disjoint)
-    attrsets = circuit.attrsets()
-
-    def expand(partial: dict, missing: list) -> Iterator[dict]:
-        if not missing:
-            yield dict(partial)
-            return
-        first, rest = missing[0], missing[1:]
-        for value in circuit.ext_domain_values(first):
-            partial[first] = value
-            yield from expand(partial, rest)
-        del partial[first]
-
-    def gen(nid: int) -> Iterator[dict]:
-        rec = circuit.nodes[nid]
-        kind = rec[0]
-        if kind == 'I':
-            yield {rec[1]: circuit.domains[rec[1]][rec[2]]}
-        elif kind == '1':
-            yield {}
-        elif kind == '0':
-            return
-        elif kind == 'J':
-            def product(idx: int, acc: dict) -> Iterator[dict]:
-                if idx == len(rec[1]):
-                    yield acc
-                    return
-                for part in gen(rec[1][idx]):
-                    merged = dict(acc)
-                    merged.update(part)
-                    yield from product(idx + 1, merged)
-            yield from product(0, {})
-        else:
-            gate = attrsets[nid]
-            for c in rec[1]:
-                missing = sorted(gate - attrsets[c])
-                for part in gen(c):
-                    yield from expand(part, missing)
-
-    outside = sorted(set(range(len(circuit.attrs)))
-                     - attrsets[circuit.output])
-    for part in gen(circuit.output):
-        for full in expand(part, outside):
-            yield {circuit.attrs[i]: v for i, v in full.items()}
+    domains = circuit.domains
+    names = circuit.attrs
+    for tup in answers(circuit.nodes, circuit.attrsets(),
+                       lambda rec: (rec[1], domains[rec[1]][rec[2]]),
+                       circuit.ext_domain_values, circuit.output,
+                       frozenset(range(len(names)))):
+        yield {names[i]: v for i, v in tup.items()}
 
 
 # -- lexicographic direct access -----------------------------------------------------
@@ -422,20 +392,21 @@ def direct_access(circuit: RelCircuit, index: int) -> dict:
 
     frontier = []          # heap of (attr, kind_tag, payload)
 
-    def push_gate(nid: int):
-        rec = circuit.nodes[nid]
-        if rec[0] == 'J':
-            for c in rec[1]:
-                push_gate(c)
-        elif rec[0] == '1':
-            pass
-        elif rec[0] == 'I':
-            heapq.heappush(frontier, (rec[1], 1, nid))
-        elif rec[0] == 'U':
-            # ordered circuit: the decision attribute is the smallest one
-            heapq.heappush(frontier, (min(attrsets[nid]), 2, nid))
-        else:
-            raise NotOrdered("empty relation inside an access path")
+    def push_gate(top: int):
+        # entries are totally ordered, so the order of pushes is free
+        stack = [top]
+        while stack:
+            nid = stack.pop()
+            rec = circuit.nodes[nid]
+            if rec[0] == 'J':
+                stack.extend(rec[1])
+            elif rec[0] == 'I':
+                heapq.heappush(frontier, (rec[1], 1, nid))
+            elif rec[0] == 'U':
+                # ordered circuit: the decision attribute is the smallest one
+                heapq.heappush(frontier, (min(attrsets[nid]), 2, nid))
+            elif rec[0] != '1':
+                raise NotOrdered("empty relation inside an access path")
 
     def push_free(attrs_: Iterable[int]):
         for a in attrs_:

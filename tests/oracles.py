@@ -8,6 +8,9 @@ through the package's circuit transformations as a reference at sizes the
 subset sums cannot reach, and `smooth_per_variable` keeps the package's
 older smoothing, with one padding edge per missing variable, as the
 reference that the shared interval gadgets of `smooth` must agree with.
+Likewise `enumerate_decision_recursive` and `enumerate_rel_recursive` keep
+the package's older recursive enumerators, whose answer sequences the
+stack-based `_dag.answers` must reproduce in order.
 """
 
 from fractions import Fraction
@@ -125,6 +128,106 @@ def smooth_per_variable(circuit):
                 new_children.append(mapped)
             out.append(b.disj(tuple(new_children)))
     return b.finish(out[circuit.output], circuit.var_names)
+
+
+def _expand_free(partial, free_vars):
+    if not free_vars:
+        yield dict(partial)
+        return
+    n = len(free_vars)
+    for m in range(1 << n):
+        out = dict(partial)
+        for j, v in enumerate(free_vars):
+            out[v] = (m >> (n - 1 - j)) & 1
+        yield out
+
+
+def _gen_decision(circuit, nid):
+    """Assignments over var(nid) of a decision-only circuit."""
+    rec = circuit.nodes[nid]
+    kind = rec[0]
+    vsets = circuit.varsets()
+    if kind == 'T':
+        yield {}
+    elif kind == 'F':
+        return
+    elif kind == 'L':
+        yield {rec[1]: 1 if rec[2] else 0}
+    elif kind == 'A':
+        def product(idx, acc):
+            if idx == len(rec[1]):
+                yield acc
+                return
+            for part in _gen_decision(circuit, rec[1][idx]):
+                merged = dict(acc)
+                merged.update(part)
+                yield from product(idx + 1, merged)
+        yield from product(0, {})
+    else:
+        gate_vars = vsets[nid]
+        for c in rec[1]:
+            missing = sorted(gate_vars - vsets[c])
+            for part in _gen_decision(circuit, c):
+                yield from _expand_free(part, missing)
+
+
+def enumerate_decision_recursive(circuit):
+    """Models of a decision-only DNNF in the order of the package's older
+    recursive enumerator: the first AND child varies slowest, an OR's
+    chosen child slower than the variables it misses, and those (like the
+    variables outside the output) as binary numbers, smallest variable
+    first."""
+    free = sorted(circuit.universe - circuit.varsets()[circuit.output])
+    for part in _gen_decision(circuit, circuit.output):
+        yield from _expand_free(part, free)
+
+
+def enumerate_rel_recursive(circuit):
+    """Tuples of a decomposable relational circuit with disjoint unions, in
+    the order of the package's older recursive enumerator (missing
+    attributes expanded over their extended domains, in domain order)."""
+    attrsets = circuit.attrsets()
+
+    def expand(partial, missing):
+        if not missing:
+            yield dict(partial)
+            return
+        first, rest = missing[0], missing[1:]
+        for value in circuit.ext_domain_values(first):
+            partial[first] = value
+            yield from expand(partial, rest)
+        del partial[first]
+
+    def gen(nid):
+        rec = circuit.nodes[nid]
+        kind = rec[0]
+        if kind == 'I':
+            yield {rec[1]: circuit.domains[rec[1]][rec[2]]}
+        elif kind == '1':
+            yield {}
+        elif kind == '0':
+            return
+        elif kind == 'J':
+            def product(idx, acc):
+                if idx == len(rec[1]):
+                    yield acc
+                    return
+                for part in gen(rec[1][idx]):
+                    merged = dict(acc)
+                    merged.update(part)
+                    yield from product(idx + 1, merged)
+            yield from product(0, {})
+        else:
+            gate = attrsets[nid]
+            for c in rec[1]:
+                missing = sorted(gate - attrsets[c])
+                for part in gen(c):
+                    yield from expand(part, missing)
+
+    outside = sorted(set(range(len(circuit.attrs))) - attrsets[circuit.output])
+    for part in gen(circuit.output):
+        for full in expand(part, outside):
+            yield {circuit.attrs[i]: v for i, v in full.items()}
 
 
 def count_models(circuit):
