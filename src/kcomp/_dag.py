@@ -11,9 +11,14 @@ an output id.  A record is a tuple whose first field names its kind:
 
 Gate children are tuples of node ids.  The passes below read only this
 shape, so they serve both circuit kinds: the variable of an input is its
-second field, and the `var_sets` of a relational circuit are its attribute
-sets.  Builders hash-cons records, so structurally equal subcircuits share
-one id, and `prune` keeps what is reachable from the output.
+second field.  Builders hash-cons records, so structurally equal
+subcircuits share one id, and `prune` keeps what is reachable from the
+output.
+
+A set of variables is an int bitmask.  Bit i stands for the i-th variable
+of an ascending order: the sorted universe of a Boolean circuit, attribute
+i of a relational one.  `var_masks` gives every node the mask of the
+inputs below it, and `members` lists a mask's variables in that order.
 
 `fold` evaluates a deterministic decomposable circuit in a semiring without
 asking for smoothness: an OR/union child that misses variables of its gate
@@ -29,7 +34,6 @@ from .errors import InputFormatError
 
 GATES = ('A', 'O', 'J', 'U')
 INPUTS = ('L', 'I')
-_NONE = frozenset()
 # the constant an empty gate stands for
 _EMPTY = {'A': ('T',), 'O': ('F',), 'J': ('1',), 'U': ('0',)}
 
@@ -47,43 +51,67 @@ def edge_count(nodes) -> int:
     return sum(len(children(rec)) for rec in nodes)
 
 
-def var_sets(nodes) -> tuple:
-    """Per node, the variables of the inputs below it."""
-    sets = []
+def var_masks(nodes, bit) -> tuple:
+    """Per node, the mask of the variables of the inputs below it; bit(var)
+    is the mask of one variable."""
+    masks = []
     for rec in nodes:
         kind = rec[0]
         if kind in INPUTS:
-            sets.append(frozenset((rec[1],)))
+            masks.append(bit(rec[1]))
         elif kind == 'N':
-            sets.append(sets[rec[1]])
-        elif kind not in GATES:
-            sets.append(_NONE)
-        elif len(rec[1]) == 1:
-            sets.append(sets[rec[1][0]])
-        else:
-            acc = set()
+            masks.append(masks[rec[1]])
+        elif kind in GATES:
+            acc = 0
             for c in rec[1]:
-                acc.update(sets[c])
-            sets.append(frozenset(acc))
-    return tuple(sets)
+                acc |= masks[c]
+            masks.append(acc)
+        else:
+            masks.append(0)
+    return tuple(masks)
 
 
-def binary_splits(nodes, sets, kind: str):
+def members(mask: int, order) -> list:
+    """The variables of a mask, ascending: order[i] for each set bit i."""
+    bits = bin(mask)[:1:-1]             # bit i at index i
+    out = []
+    i = bits.find('1')
+    while i >= 0:
+        out.append(order[i])
+        i = bits.find('1', i + 1)
+    return out
+
+
+def split_flags(nodes, sets) -> tuple:
+    """(decomposable, smooth): the children of every AND/join gate have
+    disjoint variables, so their popcounts add up to the gate's, and every
+    child of an OR/union gate has the gate's variables."""
+    decomposable = all(sum(sets[c].bit_count() for c in rec[1])
+                       == sets[nid].bit_count()
+                       for nid, rec in enumerate(nodes) if rec[0] in ('A', 'J'))
+    smooth = all(sets[c] == sets[nid] for nid, rec in enumerate(nodes)
+                 if rec[0] in ('O', 'U') for c in rec[1])
+    return decomposable, smooth
+
+
+def binary_splits(nodes, sets, kind: str, order):
     """Variable splits of the gates of one kind ('A' or 'J'), each k-ary
-    gate folded left to right; yields (left, right) with both nonempty."""
+    gate folded left to right; yields (left, right) frozensets of the
+    variables in order, with both nonempty."""
     for rec in nodes:
         if rec[0] != kind:
             continue
         kids = rec[1]
-        suffixes = [_NONE] * len(kids)
-        acc = set()
+        suffixes = [0] * len(kids)
+        acc = 0
         for i in range(len(kids) - 1, 0, -1):
-            acc.update(sets[kids[i]])
-            suffixes[i - 1] = frozenset(acc)
+            acc |= sets[kids[i]]
+            suffixes[i - 1] = acc
         for i in range(len(kids) - 1):
             left = sets[kids[i]]
             if left and suffixes[i]:
-                yield left, suffixes[i]
+                yield (frozenset(members(left, order)),
+                       frozenset(members(suffixes[i], order)))
 
 
 def rebuild(nodes, leaf, gates: dict) -> list:
@@ -113,7 +141,9 @@ def fold(nodes, sets, leaf, times, plus, pad, output, universe) -> tuple:
     OR/union children with plus.  Before an OR child is added, pad(value,
     gate_set, child_set) extends its value over the variables it misses,
     and the output is padded against the universe the same way, so the
-    circuit need not be smooth.  Returns (values, output value).
+    circuit need not be smooth.  sets are the nodes' variable masks and
+    universe is a mask, so the variables a child misses are
+    gate_set & ~child_set.  Returns (values, output value).
     """
     vals = []
     for nid, rec in enumerate(nodes):
@@ -128,36 +158,36 @@ def fold(nodes, sets, leaf, times, plus, pad, output, universe) -> tuple:
             vals.append(acc)
         else:
             gate = sets[nid]
-            width = len(gate)
             acc = None
             for c in kids:
                 val = vals[c]
-                if len(sets[c]) < width:
+                if sets[c] != gate:
                     val = pad(val, gate, sets[c])
                 acc = val if acc is None else plus(acc, val)
             vals.append(acc)
     top = vals[output]
-    if len(sets[output]) < len(universe):
+    if sets[output] != universe:
         top = pad(top, universe, sets[output])
     return vals, top
 
 
-def _branch(nid: int, gate: frozenset, child: frozenset, rest):
+def _branch(nid: int, gate: int, child: int, rest):
     """Pending work nid, then (once nid succeeds) the variables it misses."""
-    return nid, ((gate, child), rest) if len(child) < len(gate) else rest
+    return nid, ((gate & ~child,), rest) if child != gate else rest
 
 
-def answers(nodes, sets, value, domain, output, universe):
+def answers(nodes, sets, value, domain, output, universe, order):
     """Every answer of a decomposable circuit whose OR/union gates are
     disjoint, each once, as a dict that is overwritten in place.
 
     value(rec) is the (variable, value) of an input; a variable that an
-    OR/union child (or the output, in the universe) misses ranges over
-    domain(var).  Earlier choices vary slower: the first AND/join child
-    before the next, an OR/union child before its missing variables, and
-    those smallest first.  No recursion: pending work is a cons list of
-    node ids, ~var and (gate set, child set) pads, and each OR/union or
-    missing variable is a choice point [alternatives, next, rest, tag].
+    OR/union child (or the output, in the universe mask) misses ranges over
+    domain(var), and order names the variable of each mask bit.  Earlier
+    choices vary slower: the first AND/join child before the next, an
+    OR/union child before its missing variables, and those smallest first.
+    No recursion: pending work is a cons list of node ids, ~var and
+    (missing mask,) pads, and each OR/union or missing variable is a choice
+    point [alternatives, next, rest, tag].
     Nothing is unassigned on backtracking, as every alternative at a
     choice point assigns the same variables.
     """
@@ -170,7 +200,7 @@ def answers(nodes, sets, value, domain, output, universe):
         else:
             item, pending = pending
             if item.__class__ is tuple:
-                for var in sorted(item[0] - item[1], reverse=True):
+                for var in reversed(members(item[0], order)):
                     pending = (~var, pending)
                 continue
             rec = nodes[item] if item >= 0 else None
@@ -208,14 +238,13 @@ def answers(nodes, sets, value, domain, output, universe):
 
 def branch_values(vals, sets, pad, gate: int, kids) -> list:
     """The padded values that `fold` added up at an OR/union gate."""
-    width = len(sets[gate])
-    return [vals[c] if len(sets[c]) == width else pad(vals[c], sets[gate], sets[c])
+    return [vals[c] if sets[c] == sets[gate] else pad(vals[c], sets[gate], sets[c])
             for c in kids]
 
 
 class Intervals:
     """Values over sets of variables, assembled from one segment tree over
-    a sorted order of the variables.
+    an ascending order of the variables, whose positions are mask bits.
 
     leaf(var) is the value of one variable and join(a, b) that of the union
     of two disjoint sets.  Tree nodes are built lazily and memoised, and so
@@ -225,7 +254,6 @@ class Intervals:
 
     def __init__(self, order, leaf, join):
         self.order = order
-        self.position = {v: i for i, v in enumerate(order)}
         self.leaf = leaf
         self.join = join
         self._segments = {}
@@ -260,17 +288,17 @@ class Intervals:
             self._covers[(start, end)] = pieces
         return pieces
 
-    def pieces(self, variables) -> list:
-        """Segment-tree pieces covering a nonempty set of variables,
-        ascending."""
-        positions = sorted(map(self.position.__getitem__, variables))
+    def pieces(self, mask: int) -> list:
+        """Segment-tree pieces covering the variables of a mask, ascending,
+        read run by run off the mask: adding a run's lowest bit clears the
+        run and sets the bit just past its end."""
         out = []
-        start = positions[0]
-        for prev, p in zip(positions, positions[1:]):
-            if p != prev + 1:          # a run ends at prev
-                out += self._cover(start, prev + 1)
-                start = p
-        out += self._cover(start, positions[-1] + 1)
+        while mask:
+            low = mask & -mask
+            mask += low
+            end = mask & -mask
+            mask ^= end
+            out += self._cover(low.bit_length() - 1, end.bit_length() - 1)
         return out
 
 

@@ -27,8 +27,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ._dag import (Builder, Intervals, binary_splits, edge_count, rebuild,
-                   truth_values, var_sets)
+from ._dag import (Builder, Intervals, binary_splits, edge_count, members,
+                   rebuild, split_flags, truth_values, var_masks)
 from .errors import NotDecomposable
 
 TRUE = ('T',)
@@ -87,16 +87,16 @@ class VTree:
 
 class _LazyWitness:
     """structured_witness for a report that holds either the witness or,
-    in _search, the (variables, nodes, sets, gate kind) to search it from:
-    the greedy vtree search runs on the first read and its answer is kept."""
+    in _search, the (variables, nodes, masks, gate kind, bit order) to search
+    it from: the greedy vtree search runs on the first read and is kept."""
 
     @property
     def structured_witness(self) -> Optional[VTree]:
         search = self._search     # read once: concurrent readers may race
         if search is not None:
-            variables, nodes, sets, kind = search
+            variables, nodes, sets, kind, order = search
             self._witness = _synthesized_witness(
-                variables, list(binary_splits(nodes, sets, kind)))
+                variables, list(binary_splits(nodes, sets, kind, order)))
             self._search = None
         return self._witness
 
@@ -166,6 +166,7 @@ class BoolCircuit:
         self.universe = universe
         self.var_names = var_names
         self._size = None
+        self._order = None
         self._varsets = None
         self._core_flags = None
         self._report = None
@@ -183,13 +184,24 @@ class BoolCircuit:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def sorted_vars(self) -> list:
-        return sorted(self.universe)
+    def sorted_vars(self) -> tuple:
+        """The universe, ascending, computed once; bit i of a variable mask
+        stands for its i-th variable."""
+        if self._order is None:
+            self._order = tuple(sorted(self.universe))
+        return self._order
+
+    @property
+    def full_mask(self) -> int:
+        """The mask of the universe: every variable has its bit."""
+        return (1 << len(self.universe)) - 1
 
     def varsets(self) -> tuple:
-        """Per-node variable sets: vars with a directed path to the node."""
+        """Per-node variable masks (int bitmasks over `sorted_vars`): the
+        vars with a directed path to the node."""
         if self._varsets is None:
-            self._varsets = var_sets(self.nodes)
+            bits = {v: 1 << i for i, v in enumerate(self.sorted_vars())}
+            self._varsets = var_masks(self.nodes, bits.__getitem__)
         return self._varsets
 
     def evaluate(self, valuation: Valuation) -> int:
@@ -296,7 +308,7 @@ def varset(circuit: BoolCircuit, gate: int) -> frozenset:
     """Variables with a directed path to the gate."""
     if not 0 <= gate < len(circuit.nodes):
         raise ValueError(f"invalid node id {gate}")
-    return circuit.varsets()[gate]
+    return frozenset(members(circuit.varsets()[gate], circuit.sorted_vars()))
 
 
 # -- NNF normalization -------------------------------------------------------
@@ -340,11 +352,14 @@ def condition(circuit: BoolCircuit, partial: PartialValuation) -> BoolCircuit:
 
     One pass; untouched gates keep their shape, so decomposability and
     decision gates away from the assigned variables survive.  The result's
-    universe excludes the assigned variables.
+    universe excludes the assigned variables.  Values are 0/1 or bools.
     """
     extra = set(partial) - circuit.universe
     if extra:
         raise ValueError(f"assigned variables outside universe: {sorted(extra)}")
+    bad = sorted(var for var, value in partial.items() if value not in (0, 1))
+    if bad:
+        raise ValueError(f"assigned values other than 0/1 for variables {bad}")
     b = CircuitBuilder(circuit.universe - set(partial))
 
     def leaf(rec) -> int:
@@ -386,7 +401,7 @@ def smooth(circuit: BoolCircuit) -> BoolCircuit:
         return b.disj((b.conj((b.literal(var, True), b.true())),
                        b.conj((b.literal(var, False), b.true()))))
 
-    pads = Intervals(sorted(circuit.universe), gadget,
+    pads = Intervals(circuit.sorted_vars(), gadget,
                      lambda left, right: b.conj((left, right)))
     out = []
     for nid, rec in enumerate(circuit.nodes):
@@ -400,10 +415,9 @@ def smooth(circuit: BoolCircuit) -> BoolCircuit:
         elif kind == 'A':
             out.append(b.conj(tuple(out[c] for c in rec[1])))
         else:
-            gate_vars = vsets[nid]
             new_children = []
             for c in rec[1]:
-                missing = gate_vars - vsets[c]
+                missing = vsets[nid] & ~vsets[c]
                 mapped = out[c]
                 if missing:
                     pieces = tuple(pads.pieces(missing))
@@ -441,7 +455,8 @@ def respects_vtree(circuit: BoolCircuit, vtree: VTree) -> bool:
     if not circuit.universe <= vtree.vars:
         return False
     return all(_split_fits(vtree, left, right) for left, right
-               in binary_splits(circuit.nodes, circuit.varsets(), 'A'))
+               in binary_splits(circuit.nodes, circuit.varsets(), 'A',
+                                circuit.sorted_vars()))
 
 
 class _UnionFind:
@@ -523,23 +538,24 @@ def _detect_obdd_order(circuit: BoolCircuit) -> Optional[tuple]:
     gadgets of a decision gate (decision literal plus a continuation that is
     itself a decision gate or a constant), and the decision variables to
     admit one topological order along all paths.  In such a diagram every
-    literal sits in a gadget, so the variables of a continuation are the
-    decision variables tested in it.
+    literal sits in a gadget, so ordering each decision variable before
+    those tested right below its gates orders it before all below them.
     """
     nodes = circuit.nodes
     if nodes[circuit.output][0] not in ('O', 'T', 'F'):
         return None
-    decisions = []         # (variable, continuations) per decision gate
+    tested = {}            # decision gate -> its variable
+    succ = {}              # variable -> variables tested right below it
     gadget_ands = set()
     for nid, rec in enumerate(nodes):
         if rec[0] == 'N':
             return None
         if rec[0] != 'O':
             continue
-        var = circuit.decision_var(nid)
+        var = tested[nid] = circuit.decision_var(nid)
         if var is None:
             return None
-        conts = []
+        later = succ.setdefault(var, [])
         for c in rec[1]:
             gadget_ands.add(c)
             crec = nodes[c]
@@ -550,23 +566,14 @@ def _detect_obdd_order(circuit: BoolCircuit) -> Optional[tuple]:
             cont = [g for g in crec[1] if g not in lit]
             if len(lit) != 1 or nodes[cont[0]][0] not in ('O', 'T', 'F'):
                 return None
-            conts.append(cont[0])
-        decisions.append((var, conts))
+            if cont[0] in tested:
+                later.append(tested[cont[0]])
     for nid, rec in enumerate(nodes):
         if rec[0] == 'A' and nid not in gadget_ands:
             return None
-    vsets = circuit.varsets()
-    succ = {}
-    for var, conts in decisions:
-        later = vsets[conts[0]] | vsets[conts[1]]
-        if var in later:
-            return None
-        succ.setdefault(var, set()).update(later)
-    # Kahn toposort, smallest variable first for determinism
-    vars_all = set(succ)
-    for later in succ.values():
-        vars_all |= later
-    indeg = {v: 0 for v in vars_all}
+    # Kahn toposort, smallest variable first for determinism; a variable
+    # tested again below itself closes a cycle, so there is no order
+    indeg = dict.fromkeys(succ, 0)
     for later in succ.values():
         for w in later:
             indeg[w] += 1
@@ -580,7 +587,7 @@ def _detect_obdd_order(circuit: BoolCircuit) -> Optional[tuple]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
-    if len(order) != len(vars_all):
+    if len(order) != len(indeg):
         return None
     order += sorted(circuit.universe - set(order))
     return tuple(order)
@@ -595,32 +602,10 @@ def core_flags(circuit: BoolCircuit) -> tuple:
     if circuit._core_flags is not None:
         return circuit._core_flags
     nodes = circuit.nodes
-    vsets = circuit.varsets()
-
     is_nnf = not any(rec[0] == 'N' for rec in nodes)
-
-    is_decomposable = True
-    for nid, rec in enumerate(nodes):
-        if rec[0] != 'A':
-            continue
-        # decomposable exactly when child set sizes add up to the union
-        total = sum(len(vsets[c]) for c in rec[1])
-        if total != len(vsets[nid]):
-            is_decomposable = False
-            break
-
+    is_decomposable, is_smooth = split_flags(nodes, circuit.varsets())
     all_or_decision = all(circuit.decision_var(nid) is not None
                           for nid, rec in enumerate(nodes) if rec[0] == 'O')
-
-    is_smooth = True
-    for nid, rec in enumerate(nodes):
-        if rec[0] != 'O':
-            continue
-        gate_vars = vsets[nid]
-        if any(vsets[c] != gate_vars for c in rec[1]):
-            is_smooth = False
-            break
-
     circuit._core_flags = (is_nnf, is_decomposable, all_or_decision, is_smooth)
     return circuit._core_flags
 
@@ -652,7 +637,8 @@ def classify(circuit: BoolCircuit, hint: Optional[VTree] = None) -> ClassReport:
             if obdd_order is not None and witness is None:
                 witness = VTree.right_linear(obdd_order)
         if witness is None and hint is None and circuit.universe:
-            search = (circuit.universe, circuit.nodes, circuit.varsets(), 'A')
+            search = (circuit.universe, circuit.nodes, circuit.varsets(), 'A',
+                      circuit.sorted_vars())
 
     report = ClassReport(is_nnf=is_nnf, is_decomposable=is_decomposable,
                          all_or_decision=all_or_decision, is_smooth=is_smooth,

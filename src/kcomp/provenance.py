@@ -31,13 +31,14 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Optional
 
-from ._dag import fold, rebuild
+from ._dag import rebuild
 from .circuits import BoolCircuit, CircuitBuilder, DNFFormula
 from .cq import (ConjunctiveQuery, Database, _check_relations, compile_cq,
                  domain_sort_key, homomorphisms, query_holds)
 from .errors import (InputFormatError, NotHierarchical, SelfJoinPresent,
                      TargetExogenous, TooLargeForBruteForce)
-from .queries import ApproxParams, WeightMap, approx_count_dnf, model_count, wmc
+from .queries import (ApproxParams, WeightMap, _fold, approx_count_dnf,
+                      model_count, wmc)
 
 
 @dataclass(frozen=True)
@@ -457,7 +458,7 @@ def _shapley_by_derivative(query: ConjunctiveQuery, tid: TID) -> Optional[dict]:
     each endogenous fact x is present with probability p_x and the
     exogenous facts always are, phi_x = integral over t in [0, 1] of
     dF/dp_x at p = (t, ..., t).  Node values are integer polynomials in t
-    from one `_dag.fold` (endogenous literals t and 1 - t, exogenous ones 1
+    from one `queries._fold` (endogenous literals t and 1 - t, exogenous ones 1
     and 0), whose pad is the identity: an OR child's missing variables
     contribute w(x) + w(not x) = 1, so no smoothing is needed.  The
     top-down pass gives each node the derivative of F by its value; dF/dp_x
@@ -473,14 +474,13 @@ def _shapley_by_derivative(query: ConjunctiveQuery, tid: TID) -> Optional[dict]:
     nodes = circuit.nodes
     one, zero = [1], []
 
-    def leaf(rec) -> list:
-        if rec[0] == 'L' and rec[1] in endo_vars:
-            return [0, 1] if rec[2] else [1, -1]
-        return one if rec[0] == 'T' or rec[0] == 'L' and rec[2] else zero
+    def literal(key) -> list:
+        if key[0] in endo_vars:
+            return [0, 1] if key[1] else [1, -1]
+        return one if key[1] else zero
 
-    vals, _ = fold(nodes, circuit.varsets(), leaf, _poly_mul, _poly_add,
-                   lambda value, gate, child: value, circuit.output,
-                   circuit.universe)
+    vals, _ = _fold(circuit, literal, one, zero, _poly_mul, _poly_add,
+                    lambda value, gate, child: value)
 
     adjoint = [zero] * len(nodes)
     adjoint[circuit.output] = one

@@ -123,7 +123,7 @@ def _fold(circuit: BoolCircuit, literal, one, zero, times, plus, pad) -> tuple:
     return fold(circuit.nodes, circuit.varsets(),
                 lambda rec: (literal(rec[1:]) if rec[0] == 'L'
                              else one if rec[0] == 'T' else zero),
-                times, plus, pad, circuit.output, circuit.universe)
+                times, plus, pad, circuit.output, circuit.full_mask)
 
 
 def _weighted_fold(circuit: BoolCircuit, weights: WeightMap, one, zero,
@@ -137,7 +137,7 @@ def _weighted_fold(circuit: BoolCircuit, weights: WeightMap, one, zero,
                        times).pieces
 
     def pad(value, gate, child):
-        for piece in pieces(gate - child):
+        for piece in pieces(gate & ~child):
             value = times(value, piece)
         return value
 
@@ -191,8 +191,8 @@ def witness(circuit: BoolCircuit) -> Optional[Valuation]:
 
 # -- counting ------------------------------------------------------------------
 
-def _shift(count: int, gate: frozenset, child: frozenset) -> int:
-    return count << (len(gate) - len(child))
+def _shift(count: int, gate: int, child: int) -> int:
+    return count << (gate & ~child).bit_count()
 
 
 def _gate_counts(circuit: BoolCircuit) -> tuple:
@@ -254,8 +254,8 @@ def count_by_cardinality(circuit: BoolCircuit,
     _require_deterministic(circuit, assume_deterministic)
     rows = {}
 
-    def pad(vec: list, gate: frozenset, child: frozenset) -> list:
-        k = len(gate) - len(child)
+    def pad(vec: list, gate: int, child: int) -> list:
+        k = (gate & ~child).bit_count()
         row = rows.get(k)
         if row is None:
             row = rows[k] = [math.comb(k, j) for j in range(k + 1)]
@@ -316,7 +316,8 @@ def enumerate_models(circuit: BoolCircuit) -> Iterator[Valuation]:
     if flags[2]:
         for model in answers(circuit.nodes, circuit.varsets(),
                              lambda rec: (rec[1], 1 if rec[2] else 0),
-                             lambda var: (0, 1), circuit.output, circuit.universe):
+                             lambda var: (0, 1), circuit.output,
+                             circuit.full_mask, circuit.sorted_vars()):
             yield model.copy()
     else:
         yield from _gen_conditioning(circuit)

@@ -34,8 +34,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from ._dag import (Builder, answers, edge_count, fold, rebuild, resolve,
-                   var_sets)
+from ._dag import (Builder, answers, edge_count, fold, members, rebuild,
+                   resolve, split_flags, var_masks)
 from .circuits import BoolCircuit, CircuitBuilder, _LazyWitness
 from .errors import (DomainViolation, InputFormatError, NonBooleanDomain,
                      NotCountable, NotDecomposable, NotOrdered, OutOfRange)
@@ -72,9 +72,16 @@ class RelCircuit:
             return (self.domains[attr][self.defaults[attr]],)
         return self.domains[attr]
 
+    @property
+    def full_mask(self) -> int:
+        """The mask of every attribute: bit i stands for attribute i."""
+        return (1 << len(self.attrs)) - 1
+
     def attrsets(self) -> tuple:
+        """Per-node attribute masks: bit i is set when attribute i has an
+        input below the node."""
         if self._attrsets is None:
-            self._attrsets = var_sets(self.nodes)
+            self._attrsets = var_masks(self.nodes, lambda attr: 1 << attr)
         return self._attrsets
 
 
@@ -158,37 +165,19 @@ def eval_rel(circuit: RelCircuit, tup: dict) -> bool:
     extra = set(tup) - set(circuit.attrs)
     if extra:
         raise DomainViolation(f"unknown attributes {sorted(extra)}")
-    attrsets = circuit.attrsets()
+    # a union child, or the output, may miss only attributes that hold
+    # their default (any value, in full mode)
+    defaults = circuit.defaults
+    at_default = sum(1 << i for i in vidx
+                     if defaults is None or vidx[i] == defaults[i])
 
-    def extension_ok(attr: int) -> bool:
-        if circuit.defaults is None:
-            return True
-        return vidx[attr] == circuit.defaults[attr]
+    def leaf(rec) -> bool:
+        return vidx[rec[1]] == rec[2] if rec[0] == 'I' else rec[0] == '1'
 
-    vals = []
-    for nid, rec in enumerate(circuit.nodes):
-        kind = rec[0]
-        if kind == 'I':
-            vals.append(vidx[rec[1]] == rec[2])
-        elif kind == '1':
-            vals.append(True)
-        elif kind == '0':
-            vals.append(False)
-        elif kind == 'J':
-            vals.append(all(vals[c] for c in rec[1]))
-        else:
-            gate_attrs = attrsets[nid]
-            ok = False
-            for c in rec[1]:
-                if vals[c] and all(extension_ok(a)
-                                   for a in gate_attrs - attrsets[c]):
-                    ok = True
-                    break
-            vals.append(ok)
-    if not vals[circuit.output]:
-        return False
-    outside = set(range(len(circuit.attrs))) - attrsets[circuit.output]
-    return all(extension_ok(a) for a in outside)
+    return fold(circuit.nodes, circuit.attrsets(), leaf,
+                lambda a, b: a and b, lambda a, b: a or b,
+                lambda val, gate, child: val and not gate & ~child & ~at_default,
+                circuit.output, circuit.full_mask)[1]
 
 
 # -- classification ----------------------------------------------------------------
@@ -212,7 +201,7 @@ def _decision_branches(circuit: RelCircuit, nid: int) -> Optional[tuple]:
         for inp in crec[1]:
             other = crec[1][0] if inp == crec[1][1] else crec[1][1]
             irec = circuit.nodes[inp]
-            if irec[0] == 'I' and irec[1] not in attrsets[other]:
+            if irec[0] == 'I' and not attrsets[other] >> irec[1] & 1:
                 cands.setdefault(irec[1], (irec[2], other))
         if not cands:
             return None
@@ -240,23 +229,15 @@ def classify_rel(circuit: RelCircuit) -> RelClassReport:
     if circuit._report is not None:
         return circuit._report
     attrsets = circuit.attrsets()
-    decomposable = True
-    smooth_union = True
+    decomposable, smooth_union = split_flags(circuit.nodes, attrsets)
     decision_only = True
     in_order = True        # every decision tests its gate's first attribute
     for nid, rec in enumerate(circuit.nodes):
-        if rec[0] == 'J':
-            total = sum(len(attrsets[c]) for c in rec[1])
-            if total != len(attrsets[nid]):
-                decomposable = False
-        elif rec[0] == 'U':
-            gate = attrsets[nid]
-            if any(attrsets[c] != gate for c in rec[1]):
-                smooth_union = False
+        if rec[0] == 'U':
             attr = decision_attr(circuit, nid)
             if attr is None:
                 decision_only = False
-            elif min(gate) != attr:
+            elif attrsets[nid] & -attrsets[nid] != 1 << attr:
                 in_order = False
 
     ordered = None
@@ -265,8 +246,8 @@ def classify_rel(circuit: RelCircuit) -> RelClassReport:
 
     search = None
     if decomposable:
-        search = (frozenset(range(len(circuit.attrs))), circuit.nodes,
-                  attrsets, 'J')
+        n = len(circuit.attrs)
+        search = (frozenset(range(n)), circuit.nodes, attrsets, 'J', range(n))
 
     report = RelClassReport(decomposable, smooth_union, decision_only,
                             ordered, _search=search)
@@ -290,8 +271,8 @@ def _require_countable(circuit: RelCircuit, assume_disjoint: bool):
 def _extension_pad(circuit: RelCircuit):
     """fold pad: a count times the extended domain sizes of the attributes
     a union child misses."""
-    size = circuit.ext_domain_size
-    return lambda count, gate, child: count * math.prod(map(size, gate - child))
+    sizes = [circuit.ext_domain_size(a) for a in range(len(circuit.attrs))]
+    return lambda count, gate, child: count * math.prod(members(gate & ~child, sizes))
 
 
 def _gate_counts(circuit: RelCircuit) -> tuple:
@@ -301,7 +282,7 @@ def _gate_counts(circuit: RelCircuit) -> tuple:
         circuit._counts = fold(circuit.nodes, circuit.attrsets(),
                                lambda rec: 0 if rec[0] == '0' else 1,
                                operator.mul, operator.add, _extension_pad(circuit),
-                               circuit.output, frozenset(range(len(circuit.attrs))))
+                               circuit.output, circuit.full_mask)
     return circuit._counts
 
 
@@ -326,7 +307,7 @@ def enumerate_rel(circuit: RelCircuit, assume_disjoint: bool = False) -> Iterato
     for tup in answers(circuit.nodes, circuit.attrsets(),
                        lambda rec: (rec[1], domains[rec[1]][rec[2]]),
                        circuit.ext_domain_values, circuit.output,
-                       frozenset(range(len(names)))):
+                       circuit.full_mask, range(len(names))):
         yield {names[i]: v for i, v in tup.items()}
 
 
@@ -335,16 +316,19 @@ def enumerate_rel(circuit: RelCircuit, assume_disjoint: bool = False) -> Iterato
 class _AccessIndex:
     """Per-decision-gate branch tables for rank arithmetic.
 
-    For each decision gate: branches sorted by value index, each with its
-    continuation, the extension attributes it leaves free, and its local
-    tuple count; zero-count branches are dropped.  Prefix sums support a
-    binary search per accessed attribute.
+    For each decision gate: its attribute, and branches sorted by value
+    index, each with its continuation, the extension attributes it leaves
+    free, and its local tuple count; zero-count branches are dropped.
+    Prefix sums support a binary search per accessed attribute.  outside
+    holds the attributes the output misses.
     """
 
     def __init__(self, circuit: RelCircuit):
         counts = _gate_counts(circuit)[0]
         pad = _extension_pad(circuit)
         attrsets = circuit.attrsets()
+        every = range(len(circuit.attrs))
+        self.outside = members(circuit.full_mask & ~attrsets[circuit.output], every)
         self.branches = {}
         for nid, rec in enumerate(circuit.nodes):
             if rec[0] != 'U':
@@ -353,10 +337,10 @@ class _AccessIndex:
             if parsed is None:
                 raise NotOrdered("direct access needs decision-shaped unions")
             attr, pairs = parsed
-            gate_attrs = attrsets[nid] - {attr}
+            gate_attrs = attrsets[nid] & ~(1 << attr)
             rows = []
             for vi, cont in pairs:
-                ext = sorted(gate_attrs - attrsets[cont])
+                ext = members(gate_attrs & ~attrsets[cont], every)
                 local = pad(counts[cont], gate_attrs, attrsets[cont])
                 if local:
                     rows.append((vi, cont, tuple(ext), local))
@@ -364,7 +348,7 @@ class _AccessIndex:
             prefix = [0]
             for row in rows:
                 prefix.append(prefix[-1] + row[3])
-            self.branches[nid] = (rows, prefix)
+            self.branches[nid] = (attr, rows, prefix)
 
 
 def _prepare_access(circuit: RelCircuit) -> _AccessIndex:
@@ -388,7 +372,6 @@ def direct_access(circuit: RelCircuit, index: int) -> dict:
         raise OutOfRange(f"answer indexes are 1-based, got {index}")
     access = _prepare_access(circuit)
     counts, total = _gate_counts(circuit)
-    attrsets = circuit.attrsets()
 
     frontier = []          # heap of (attr, kind_tag, payload)
 
@@ -403,8 +386,7 @@ def direct_access(circuit: RelCircuit, index: int) -> dict:
             elif rec[0] == 'I':
                 heapq.heappush(frontier, (rec[1], 1, nid))
             elif rec[0] == 'U':
-                # ordered circuit: the decision attribute is the smallest one
-                heapq.heappush(frontier, (min(attrsets[nid]), 2, nid))
+                heapq.heappush(frontier, (access.branches[nid][0], 2, nid))
             elif rec[0] != '1':
                 raise NotOrdered("empty relation inside an access path")
 
@@ -412,7 +394,7 @@ def direct_access(circuit: RelCircuit, index: int) -> dict:
         for a in attrs_:
             heapq.heappush(frontier, (a, 0, None))
 
-    push_free(set(range(len(circuit.attrs))) - attrsets[circuit.output])
+    push_free(access.outside)
     if counts[circuit.output]:
         push_gate(circuit.output)
     if index > total:
@@ -432,7 +414,7 @@ def direct_access(circuit: RelCircuit, index: int) -> dict:
             rec = circuit.nodes[payload]
             out[attr] = circuit.domains[attr][rec[2]]
         else:
-            rows, prefix = access.branches[payload]
+            _, rows, prefix = access.branches[payload]
             local = prefix[-1]
             rest = total // local
             rank, k_inner = divmod(k, rest)

@@ -10,7 +10,9 @@ older smoothing, with one padding edge per missing variable, as the
 reference that the shared interval gadgets of `smooth` must agree with.
 Likewise `enumerate_decision_recursive` and `enumerate_rel_recursive` keep
 the package's older recursive enumerators, whose answer sequences the
-stack-based `_dag.answers` must reproduce in order.
+stack-based `_dag.answers` must reproduce in order, and `var_sets` keeps
+the package's older per-node frozensets of variables, which its variable
+masks must decode to.
 """
 
 from fractions import Fraction
@@ -81,6 +83,23 @@ def models_of(circuit):
     return out
 
 
+def var_sets(nodes):
+    """Per node, the frozenset of the variables of the inputs below it (the
+    attributes, for a relational circuit)."""
+    sets = []
+    for rec in nodes:
+        kind = rec[0]
+        if kind in ('L', 'I'):
+            sets.append(frozenset((rec[1],)))
+        elif kind == 'N':
+            sets.append(sets[rec[1]])
+        elif kind in ('A', 'O', 'J', 'U'):
+            sets.append(frozenset().union(*(sets[c] for c in rec[1])))
+        else:
+            sets.append(frozenset())
+    return tuple(sets)
+
+
 def smooth_per_variable(circuit):
     """Smoothing that conjoins one tautology gadget (x and 1) or (not x and
     1) per missing variable to each OR child, in sorted variable order;
@@ -90,7 +109,7 @@ def smooth_per_variable(circuit):
     assert is_nnf and is_decomposable
     if is_smooth:
         return circuit
-    vsets = circuit.varsets()
+    vsets = var_sets(circuit.nodes)
     b = CircuitBuilder(circuit.universe)
     gadgets = {}
 
@@ -142,11 +161,11 @@ def _expand_free(partial, free_vars):
         yield out
 
 
-def _gen_decision(circuit, nid):
-    """Assignments over var(nid) of a decision-only circuit."""
+def _gen_decision(circuit, vsets, nid):
+    """Assignments over var(nid) of a decision-only circuit whose nodes
+    have the variable sets vsets."""
     rec = circuit.nodes[nid]
     kind = rec[0]
-    vsets = circuit.varsets()
     if kind == 'T':
         yield {}
     elif kind == 'F':
@@ -158,7 +177,7 @@ def _gen_decision(circuit, nid):
             if idx == len(rec[1]):
                 yield acc
                 return
-            for part in _gen_decision(circuit, rec[1][idx]):
+            for part in _gen_decision(circuit, vsets, rec[1][idx]):
                 merged = dict(acc)
                 merged.update(part)
                 yield from product(idx + 1, merged)
@@ -167,7 +186,7 @@ def _gen_decision(circuit, nid):
         gate_vars = vsets[nid]
         for c in rec[1]:
             missing = sorted(gate_vars - vsets[c])
-            for part in _gen_decision(circuit, c):
+            for part in _gen_decision(circuit, vsets, c):
                 yield from _expand_free(part, missing)
 
 
@@ -177,8 +196,9 @@ def enumerate_decision_recursive(circuit):
     chosen child slower than the variables it misses, and those (like the
     variables outside the output) as binary numbers, smallest variable
     first."""
-    free = sorted(circuit.universe - circuit.varsets()[circuit.output])
-    for part in _gen_decision(circuit, circuit.output):
+    vsets = var_sets(circuit.nodes)
+    free = sorted(circuit.universe - vsets[circuit.output])
+    for part in _gen_decision(circuit, vsets, circuit.output):
         yield from _expand_free(part, free)
 
 
@@ -186,7 +206,7 @@ def enumerate_rel_recursive(circuit):
     """Tuples of a decomposable relational circuit with disjoint unions, in
     the order of the package's older recursive enumerator (missing
     attributes expanded over their extended domains, in domain order)."""
-    attrsets = circuit.attrsets()
+    attrsets = var_sets(circuit.nodes)
 
     def expand(partial, missing):
         if not missing:

@@ -191,7 +191,8 @@ def lazy_and_direct_witnesses(rng):
         report = classify(c)
         if report._search is not None:
             direct = circuits._synthesized_witness(
-                c.universe, list(binary_splits(c.nodes, c.varsets(), 'A')))
+                c.universe, list(binary_splits(c.nodes, c.varsets(), 'A',
+                                               c.sorted_vars())))
             cases.append((report.structured_witness, direct))
         if c.universe == frozenset(range(n)):
             rc = from_boolean(c)
@@ -199,7 +200,8 @@ def lazy_and_direct_witnesses(rng):
             if rel.decomposable:
                 direct = circuits._synthesized_witness(
                     frozenset(range(len(rc.attrs))),
-                    list(binary_splits(rc.nodes, rc.attrsets(), 'J')))
+                    list(binary_splits(rc.nodes, rc.attrsets(), 'J',
+                                       range(len(rc.attrs)))))
                 cases.append((rel.structured_witness, direct))
     return cases
 

@@ -215,6 +215,16 @@ def test_condition_outside_universe_rejected():
         condition(demo_dnnf(), {9: 1})
 
 
+def test_condition_rejects_values_other_than_0_and_1():
+    b = CircuitBuilder(1)
+    tautology = b.finish(b.disj((b.literal(0), b.literal(0, False))))
+    for value in (2, -1, '1', None):
+        with pytest.raises(ValueError):
+            condition(tautology, {0: value})
+    for value in (0, 1, False, True):
+        assert truth_table(condition(tautology, {0: value})) == 1
+
+
 # -- smooth ---------------------------------------------------------------------
 
 def test_smooth_preserves_models_and_is_smooth():

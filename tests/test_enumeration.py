@@ -7,7 +7,7 @@ from itertools import islice
 from kcomp.circuits import CircuitBuilder, core_flags
 from kcomp.cnf import compile_dpll
 from kcomp.cq import compile_cq, is_free_connex, parse_cq
-from kcomp.queries import enumerate_models
+from kcomp.queries import enumerate_models, model_count
 from kcomp.relational import (RelBuilder, direct_access, enumerate_rel,
                               from_boolean)
 
@@ -83,6 +83,16 @@ def test_first_answers_of_a_2000_variable_chain_obdd():
     assert len(first) == 50
     assert all(circuit.evaluate(m) == 1 for m in first)
     assert len({tuple(sorted(m.items())) for m in first}) == 50
+
+
+def test_count_and_first_answers_of_a_10000_variable_chain_obdd():
+    n = 10_000
+    circuit = chain_obdd(n)
+    assert core_flags(circuit) == (True, True, True, False)
+    assert model_count(circuit) == n + 1
+    first = list(islice(enumerate_models(circuit), 50))
+    # x0 -> x1 -> ...: the models are 0^(n-j) 1^j, fewest ones first
+    assert first == [{v: int(v >= n - j) for v in range(n)} for j in range(50)]
 
 
 def test_first_answer_of_a_1100_variable_conditioning_walk():
