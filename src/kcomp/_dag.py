@@ -25,7 +25,8 @@ asking for smoothness: an OR/union child that misses variables of its gate
 is padded with their contribution, and `Intervals` assembles such per-
 variable contributions from shared segment-tree pieces.  `answers`
 enumerates such a circuit from an explicit stack, expanding the variables
-an OR/union child misses the same way.
+an OR/union child misses the same way and skipping children without a
+model.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ GATES = ('A', 'O', 'J', 'U')
 INPUTS = ('L', 'I')
 # the constant an empty gate stands for
 _EMPTY = {'A': ('T',), 'O': ('F',), 'J': ('1',), 'U': ('0',)}
+# the records that have no model; hash-consing keeps at most one of each
+_FALSE = (('F',), ('0',), ('O', ()), ('U', ()))
 
 
 def children(rec) -> tuple:
@@ -171,6 +174,22 @@ def fold(nodes, sets, leaf, times, plus, pad, output, universe) -> tuple:
     return vals, top
 
 
+def _no_model(nodes) -> set:
+    """Ids of the nodes that have no model: a false record, an AND/join
+    with such a child and an OR/union with only such children.  No node
+    before the first false record reaches one, so the pass starts there,
+    and a circuit without false records skips it."""
+    starts = [nodes.index(rec) for rec in _FALSE if rec in nodes]
+    dead = set()
+    for nid in range(min(starts, default=len(nodes)), len(nodes)):
+        rec = nodes[nid]
+        kind = rec[0]
+        if (kind in 'F0' or kind in 'AJ' and not dead.isdisjoint(rec[1])
+                or kind in 'OU' and dead.issuperset(rec[1])):
+            dead.add(nid)
+    return dead
+
+
 def _branch(nid: int, gate: int, child: int, rest):
     """Pending work nid, then (once nid succeeds) the variables it misses."""
     return nid, ((gate & ~child,), rest) if child != gate else rest
@@ -189,8 +208,12 @@ def answers(nodes, sets, value, domain, output, universe, order):
     (missing mask,) pads, and each OR/union or missing variable is a choice
     point [alternatives, next, rest, tag].
     Nothing is unassigned on backtracking, as every alternative at a
-    choice point assigns the same variables.
+    choice point assigns the same variables.  Alternatives without a model
+    are skipped, so every choice taken leads to an answer.
     """
+    dead = _no_model(nodes)
+    if output in dead:
+        return
     assignment = {}
     choices = []
     pending = _branch(output, universe, sets[output], None)
@@ -218,7 +241,7 @@ def answers(nodes, sets, value, domain, output, universe, order):
                 continue
             elif rec[0] == 'O' or rec[0] == 'U':
                 choices.append([rec[1], 0, pending, item])
-        # an answer, a new choice point or a dead end: take the next
+        # an answer or a new choice point: take the next
         # alternative of the newest choice point that has one
         while choices:
             point = choices[-1]
@@ -228,6 +251,8 @@ def answers(nodes, sets, value, domain, output, universe, order):
                 if tag < 0:
                     assignment[~tag] = alts[i]
                     pending = rest
+                elif dead and alts[i] in dead:
+                    continue
                 else:
                     pending = _branch(alts[i], sets[tag], sets[alts[i]], rest)
                 break

@@ -112,10 +112,6 @@ class TargetExogenous(KcompError):
     pass
 
 
-class TooLargeForBruteForce(KcompError):
-    pass
-
-
 # -- Tree automata ----------------------------------------------------------
 
 class IncompleteTransition(KcompError):

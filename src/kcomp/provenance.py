@@ -11,32 +11,38 @@ Three representations are built here:
   * a decomposable circuit, extracted from a compiled lifted query where
     every fact carries a fresh identifier (works for any self-join-free
     query, generally not deterministic);
-  * a monotone DNF with one term per homomorphism image (any query, feeds
-    the approximation path);
+  * a monotone DNF with one term per homomorphism image (any query; feeds
+    the approximation path and the negated lineage below);
   * a read-once tree for hierarchical self-join-free queries, turned into
-    an ordered decision diagram for the exact counting paths.
+    an ordered decision diagram.
 
-On that decision diagram the Shapley values of all endogenous facts come
-from one bottom-up and one top-down derivative pass over polynomials in a
-common presence probability t (Owen's multilinear-extension identity), with
-no smoothing, conditioning or rebuilding per fact.  Queries that are not
-hierarchical or not self-join-free fall back to a brute force over subsets
-of the endogenous facts, capped at 15 of them.
+Exact query probability, uniform reliability and Shapley values all read
+one deterministic decomposable lineage circuit, chosen by the query: the
+read-once decision diagram when the query is hierarchical and
+self-join-free, otherwise the DPLL compilation of the negated lineage (one
+clause of negative literals per DNF term), whose weighted count is the
+complement of the query's.  The second route is exact for every query but
+not always polynomial.  On either circuit the Shapley values of all
+endogenous facts come from one bottom-up and one top-down derivative pass
+over polynomials in a common presence probability t (Owen's multilinear-
+extension identity), with no smoothing, conditioning or rebuilding per
+fact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from typing import Optional
 
 from ._dag import rebuild
 from .circuits import BoolCircuit, CircuitBuilder, DNFFormula
+from .cnf import CNFFormula, compile_dpll
 from .cq import (ConjunctiveQuery, Database, _check_relations, compile_cq,
-                 domain_sort_key, homomorphisms, query_holds)
+                 domain_sort_key, homomorphisms)
 from .errors import (InputFormatError, NotHierarchical, SelfJoinPresent,
-                     TargetExogenous, TooLargeForBruteForce)
+                     TargetExogenous)
 from .queries import (ApproxParams, WeightMap, _fold, approx_count_dnf,
                       model_count, wmc)
 
@@ -376,19 +382,40 @@ def _hierarchical_obdd(query: ConjunctiveQuery, db: Database) -> BoolCircuit:
     return read_once_to_obdd(tree, len(FactVar(db)))
 
 
+def _lineage(query: ConjunctiveQuery, db: Database) -> tuple:
+    """(circuit, negated): a deterministic decomposable circuit over one
+    variable per fact, for the lineage or, when negated, its complement.
+
+    A hierarchical self-join-free query gets its read-once decision
+    diagram.  Any other query gets the negated lineage: one clause of
+    negative literals per `provenance_dnf` term, compiled by DPLL branching
+    on the fact in most terms first.  That route is exact but not always
+    polynomial: some lineages have no small decision-DNNF.
+    """
+    if query.self_join_free and is_hierarchical(query):
+        return _hierarchical_obdd(query, db), False
+    dnf = provenance_dnf(query, db)
+    clauses = [[-1 - v for v, _ in term] for term in dnf.terms]
+    circuit, _ = compile_dpll(CNFFormula.from_lists(dnf.num_vars, clauses),
+                              'most_occurrences')
+    return circuit, True
+
+
 def pqe(query: ConjunctiveQuery, tid: TID, mode: str = 'exact',
         params: Optional[ApproxParams] = None):
     """Probability that the query holds on the tuple-independent database.
 
-    'exact' builds the read-once decision diagram (hierarchical self-join-
-    free queries) and runs weighted counting with exact rationals; 'approx'
-    runs the Monte Carlo DNF counter and needs ApproxParams.
+    'exact' runs weighted counting with exact rationals on the lineage
+    circuit of `_lineage`, so P(Q) is its WMC, or 1 minus that on the
+    negated lineage; 'approx' runs the Monte Carlo DNF counter and needs
+    ApproxParams.
     """
     fact_vars = FactVar(tid.db)
     probs = {fact_vars.var_of[f]: Fraction(tid.prob[f]) for f in fact_vars.facts}
     if mode == 'exact':
-        return wmc(_hierarchical_obdd(query, tid.db),
-                   WeightMap.from_probabilities(probs))
+        circuit, negated = _lineage(query, tid.db)
+        p = wmc(circuit, WeightMap.from_probabilities(probs))
+        return 1 - p if negated else p
     if mode == 'approx':
         if params is None:
             raise ValueError("approx mode needs ApproxParams")
@@ -397,64 +424,41 @@ def pqe(query: ConjunctiveQuery, tid: TID, mode: str = 'exact',
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def uniform_reliability(query: ConjunctiveQuery, db: Database,
-                        brute_force_limit: int = 20) -> int:
-    """Number of subinstances satisfying the query."""
-    facts = db.facts()
-    try:
-        return model_count(_hierarchical_obdd(query, db))
-    except (NotHierarchical, SelfJoinPresent):
-        pass
-    if len(facts) > brute_force_limit:
-        raise TooLargeForBruteForce(
-            f"{len(facts)} facts exceed the brute-force cap {brute_force_limit}")
-    total = 0
-    for mask in range(1 << len(facts)):
-        subset = [facts[j] for j in range(len(facts)) if (mask >> j) & 1]
-        if query_holds(query, subset):
-            total += 1
-    return total
+def uniform_reliability(query: ConjunctiveQuery, db: Database) -> int:
+    """Number of subinstances satisfying the query: the model count of the
+    lineage circuit, or 2^n minus that of the negated lineage."""
+    circuit, negated = _lineage(query, db)
+    count = model_count(circuit)
+    return (1 << len(circuit.universe)) - count if negated else count
 
 
-def shapley(query: ConjunctiveQuery, tid: TID, target,
-            brute_force_limit: int = 15) -> Fraction:
+def shapley(query: ConjunctiveQuery, tid: TID, target) -> Fraction:
     """Shapley value of an endogenous fact for making the query true.
 
-    Exogenous facts are always present.  For hierarchical self-join-free
-    queries this is a lookup in the one derivative pass of `shapley_all`;
-    other queries try every subset of the other endogenous facts, which is
-    capped at `brute_force_limit` endogenous facts.
+    Exogenous facts are always present.  A lookup in the one derivative
+    pass of `shapley_all`.
     """
     target = (target[0], tuple(target[1]))
     if tid.kind.get(target, 'n') != 'n':
         raise TargetExogenous(f"{target} is exogenous")
     if target not in tid.prob:
         raise ValueError(f"{target} is not a fact of the database")
-    values = _shapley_by_derivative(query, tid)
-    if values is not None:
-        return values[target]
-    return _shapley_brute_force(query, tid, target, brute_force_limit)
+    return shapley_all(query, tid)[target]
 
 
 def shapley_all(query: ConjunctiveQuery, tid: TID) -> dict:
-    """Shapley value of every endogenous fact.
-
-    Hierarchical self-join-free queries take one bottom-up and one top-down
-    pass over the read-once decision diagram, whatever the number of facts;
-    other queries fall back to `shapley`'s brute force per fact, capped at
-    15 endogenous facts.
-    """
-    values = _shapley_by_derivative(query, tid)
-    if values is None:
-        values = {f: shapley(query, tid, f) for f in tid.endogenous()}
-    return values
+    """Shapley value of every endogenous fact, from one bottom-up and one
+    top-down pass over the lineage circuit of `_lineage`, at a cost of
+    O(|C| m^2) integer operations for a circuit C and m endogenous facts."""
+    circuit, negated = _lineage(query, tid.db)
+    return _shapley_by_derivative(circuit, -1 if negated else 1, tid)
 
 
-def _shapley_by_derivative(query: ConjunctiveQuery, tid: TID) -> Optional[dict]:
-    """All Shapley values from the provenance decision diagram, or None
-    unless the query is hierarchical and self-join-free.
+def _shapley_by_derivative(circuit: BoolCircuit, sign: int, tid: TID) -> dict:
+    """All Shapley values from a deterministic decomposable circuit over
+    one variable per fact, scaled by sign.
 
-    Owen's identity: with F(p) the probability that the query holds when
+    Owen's identity: with F(p) the probability that the circuit holds when
     each endogenous fact x is present with probability p_x and the
     exogenous facts always are, phi_x = integral over t in [0, 1] of
     dF/dp_x at p = (t, ..., t).  Node values are integer polynomials in t
@@ -463,11 +467,10 @@ def _shapley_by_derivative(query: ConjunctiveQuery, tid: TID) -> Optional[dict]:
     contribute w(x) + w(not x) = 1, so no smoothing is needed.  The
     top-down pass gives each node the derivative of F by its value; dF/dp_x
     is that of x's positive literal minus that of its negative one.
+    Only determinism and decomposability are used, so any d-DNNF will do.
+    Shapley values are linear and a constant game has none, so sign -1 on
+    a circuit of the negated lineage gives the values of the query.
     """
-    try:
-        circuit = _hierarchical_obdd(query, tid.db)
-    except (NotHierarchical, SelfJoinPresent):
-        return None
     fact_vars = FactVar(tid.db)
     endo = tid.endogenous()
     endo_vars = {fact_vars.var_of[f] for f in endo}
@@ -515,7 +518,7 @@ def _shapley_by_derivative(query: ConjunctiveQuery, tid: TID) -> Optional[dict]:
         if rec[0] == 'L' and rec[1] in endo_vars:
             area = sum(c * w for c, w in zip(adjoint[nid], weights))
             numer[rec[1]] += area if rec[2] else -area
-    return {f: Fraction(numer[fact_vars.var_of[f]], denom) for f in endo}
+    return {f: Fraction(sign * numer[fact_vars.var_of[f]], denom) for f in endo}
 
 
 def _poly_add(a: list, b: list) -> list:
@@ -541,29 +544,3 @@ def _poly_mul(a: list, b: list) -> list:
                 out[i + j] += x * y
     return out
 
-
-def _shapley_brute_force(query: ConjunctiveQuery, tid: TID, target,
-                         brute_force_limit: int) -> Fraction:
-    """Per cardinality, how many subsets of the other endogenous facts flip
-    the query when the target joins them, tried one by one."""
-    endo = tid.endogenous()
-    exo = tid.exogenous()
-    m = len(endo)
-    if m > brute_force_limit:
-        raise TooLargeForBruteForce(
-            f"{m} endogenous facts exceed the brute-force cap")
-    others = [f for f in endo if f != target]
-    plus = [0] * m
-    minus = [0] * m
-    for mask in range(1 << len(others)):
-        subset = [others[j] for j in range(len(others)) if (mask >> j) & 1]
-        k = len(subset)
-        if query_holds(query, exo + subset + [target]):
-            plus[k] += 1
-        if query_holds(query, exo + subset):
-            minus[k] += 1
-    total = Fraction(0)
-    for k in range(m):
-        coeff = Fraction(factorial(k) * factorial(m - 1 - k), factorial(m))
-        total += coeff * (plus[k] - minus[k])
-    return total

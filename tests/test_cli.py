@@ -240,11 +240,17 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     query = tmp_path / "hard.cq"
     query.write_text("Q() :- R(x), S(x, y), T(y).\n")
     tid = tmp_path / "hard_tid.tsv"
+    tid.write_text("R\ta\t1/2\tx\nS\ta\tb\t1/2\tn\nT\tb\t1/2\tn\n")
+    code, out, err = run_cli(capsys, 'shapley', '--query', str(query),
+                             '--tid', str(tid), '--fact', 'R a')
+    assert code == 1 and out == ''
+    assert len(err.splitlines()) == 1
+    assert err.startswith('error: ') and 'exogenous' in err
+    # a non-hierarchical query is no domain error in exact mode
     tid.write_text("R\ta\t1/2\tn\nS\ta\tb\t1/2\tn\nT\tb\t1/2\tn\n")
-    code, _, err = run_cli(capsys, 'pqe', '--query', str(query),
-                           '--tid', str(tid), '--mode', 'exact')
-    assert code == 1
-    assert 'hierarchical' in err
+    code, out, err = run_cli(capsys, 'pqe', '--query', str(query),
+                             '--tid', str(tid), '--mode', 'exact')
+    assert code == 0 and out.strip() == '1/8' and err == ''
 
 
 def test_usage_error_unknown_command(capsys):

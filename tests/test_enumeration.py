@@ -2,6 +2,7 @@
 answer and in order, and at depths the recursion could not reach."""
 
 import random
+import time
 from itertools import islice
 
 from kcomp.circuits import CircuitBuilder, core_flags
@@ -10,6 +11,7 @@ from kcomp.cq import compile_cq, is_free_connex, parse_cq
 from kcomp.queries import enumerate_models, model_count
 from kcomp.relational import (RelBuilder, direct_access, enumerate_rel,
                               from_boolean)
+from kcomp.trees import TreeNode, answer_circuit
 
 from oracles import enumerate_decision_recursive, enumerate_rel_recursive
 from test_cnf import random_cnf
@@ -17,6 +19,7 @@ from test_cq import random_db_for, random_free_connex_query
 from test_queries import random_decision_circuit
 from test_relational import random_decision_relcircuit
 from test_stress import random_zero_suppressed_circuit
+from test_trees import annotated_singleton_automaton, random_automaton, random_tree
 
 
 def assert_same_models(circuit):
@@ -104,6 +107,56 @@ def test_first_answer_of_a_1100_variable_conditioning_walk():
     assert not core_flags(circuit)[2]
     first = next(enumerate_models(circuit))
     assert len(first) == n and circuit.evaluate(first) == 1
+
+
+# -- branches without a model ---------------------------------------------------
+
+def complete_tree(depth):
+    if depth == 0:
+        return TreeNode('a')
+    return TreeNode('e', complete_tree(depth - 1), complete_tree(depth - 1))
+
+
+def caterpillar(spine):
+    tree = TreeNode('a')
+    for _ in range(spine):
+        tree = TreeNode('e', TreeNode('a'), tree)
+    return tree
+
+
+def test_single_mark_answers_of_31_node_trees_skip_dead_branches():
+    # most continuations of the counting automaton reject, so nearly every
+    # branch of the answer circuit ends in false
+    for tree in (complete_tree(4), caterpillar(15)):
+        circuit, _ = answer_circuit(annotated_singleton_automaton(), tree)
+        start = time.perf_counter()
+        got = list(enumerate_models(circuit))
+        assert time.perf_counter() - start < 1
+        assert len(got) == 31
+        assert len({tuple(sorted(m.items())) for m in got}) == 31
+        assert all(sum(m.values()) == 1 for m in got)
+
+
+def test_tree_answer_circuits_keep_the_recursive_order():
+    rng = random.Random(37)
+    labels = [(lab, bit) for lab in 'ae' for bit in (0, 1)]
+    for _ in range(30):
+        tree = random_tree(rng, 11)
+        automaton = rng.choice((annotated_singleton_automaton(),
+                                random_automaton(rng, 3, alphabet=labels)))
+        assert_same_models(answer_circuit(automaton, tree)[0])
+
+
+def test_unsatisfiable_conjunct_stops_enumeration_at_once():
+    n = 20
+    b = CircuitBuilder(n)
+    chain = b.true()
+    for v in range(n - 1, -1, -1):
+        chain = b.decision(v, chain, chain)
+    circuit = b.finish(b.conj((chain, b.false())))
+    start = time.perf_counter()
+    assert list(enumerate_models(circuit)) == []
+    assert time.perf_counter() - start < 1
 
 
 # -- relational circuits ---------------------------------------------------------

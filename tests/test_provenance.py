@@ -6,12 +6,14 @@ import pytest
 from kcomp.circuits import classify
 from kcomp.cq import ConjunctiveQuery, Database, parse_cq
 from kcomp.errors import (InputFormatError, NotHierarchical, SelfJoinPresent,
-                          TargetExogenous, TooLargeForBruteForce)
-from kcomp.provenance import (TID, FactVar, is_hierarchical, lift, pqe,
+                          TargetExogenous)
+from kcomp.cnf import CNFFormula, compile_dpll
+from kcomp.provenance import (TID, FactVar, _shapley_by_derivative,
+                              is_hierarchical, lift, pqe,
                               provenance_circuit_sjf, provenance_dnf,
                               provenance_read_once, read_once_to_obdd,
                               shapley, shapley_all, uniform_reliability)
-from kcomp.queries import ApproxParams
+from kcomp.queries import ApproxParams, WeightMap, model_count, wmc
 
 from oracles import (dnf_probability, models_of, query_true_on,
                      shapley_by_conditioning, shapley_direct)
@@ -36,6 +38,25 @@ def fact_bit_models(query, db):
         if query_true_on(query.head, query.atoms, subset):
             expect.add(format(mask, f'0{n}b'))
     return expect
+
+
+def holding_masks(query, facts):
+    """Bitmasks over the facts of the subinstances where the query holds."""
+    return [mask for mask in range(1 << len(facts))
+            if query_true_on(query.head, query.atoms,
+                             [f for j, f in enumerate(facts) if (mask >> j) & 1])]
+
+
+def subset_probability(query, tid):
+    """P(Q) as a sum over the subinstances of the TID where Q holds."""
+    facts = tid.db.facts()
+    total = Fraction(0)
+    for mask in holding_masks(query, facts):
+        p = Fraction(1)
+        for j, f in enumerate(facts):
+            p *= tid.prob[f] if (mask >> j) & 1 else 1 - tid.prob[f]
+        total += p
+    return total
 
 
 # -- lifting ------------------------------------------------------------------------
@@ -304,11 +325,11 @@ def test_pqe_exact_random_against_subinstance_sum():
         assert pqe(q, tid) == expect
 
 
-def test_pqe_exact_rejects_non_hierarchical():
+def test_pqe_exact_non_hierarchical_equals_subset_sum():
     q = parse_cq("Q() :- R(x), S(x, y), T(y).")
     db = Database({'R': {('a',)}, 'S': {('a', 'b')}, 'T': {('b',)}})
-    with pytest.raises(NotHierarchical):
-        pqe(q, TID.uniform(db))
+    tid = TID.uniform(db)
+    assert pqe(q, tid) == subset_probability(q, tid) == Fraction(1, 8)
 
 
 def test_pqe_approx_non_hierarchical_within_band():
@@ -339,15 +360,16 @@ def test_uniform_reliability_single_fact():
     assert uniform_reliability(q, Database({'R': {('a',)}})) == 1
 
 
-def test_uniform_reliability_brute_force_path_and_cap():
+def test_uniform_reliability_non_hierarchical_small_and_51_facts():
     q = parse_cq("Q() :- R(x), S(x, y), T(y).")
     db = Database({'R': {('a',)}, 'S': {('a', 'b')}, 'T': {('b',)}})
     assert uniform_reliability(q, db) == 1
+    # Q holds when T(b) and some pair R(i), S(i, b) are present; the 25
+    # pairs hold no complete one in 3^25 of their 4^25 subsets
     big = Database({'R': {(str(i),) for i in range(25)},
                     'S': {(str(i), 'b') for i in range(25)},
                     'T': {('b',)}})
-    with pytest.raises(TooLargeForBruteForce):
-        uniform_reliability(q, big)
+    assert uniform_reliability(q, big) == 4 ** 25 - 3 ** 25
 
 
 def test_shapley_two_symmetric_facts():
@@ -450,6 +472,121 @@ def test_shapley_all_matches_conditioning_up_to_80_facts():
         full = 1 if query_true_on(q.head, q.atoms, tid.db.facts()) else 0
         base = 1 if query_true_on(q.head, q.atoms, tid.exogenous()) else 0
         assert sum(values.values()) == full - base
+
+
+# -- one lineage route for every query ------------------------------------------------------
+
+LINEAGE_SHAPES = (
+    "Q() :- R(x), S(x, y), T(y).",
+    "Q() :- R(x, y), R(y, z).",
+    "Q() :- R(x, y), S(y, z), T(z, x).",
+    "Q() :- R(x), S(x, y), R(y).",
+    "Q() :- R(x), S(x, y).",
+    "Q() :- R(x), S(y).",
+)
+
+
+def random_lineage_tid(q, rng, max_facts):
+    """TID of 6 to max_facts facts (fewer if the relations have no room)
+    over the relations of q, values drawn from {a, b, c} with a twice as
+    likely, so the atoms join; about a quarter of the facts exogenous and
+    probabilities in quarters, 0 and 1 included."""
+    arity = {rel: len(vs) for rel, vs in q.atoms}
+    rels = {rel: set() for rel in arity}
+    target = min(rng.randint(6, max_facts), sum(3 ** k for k in arity.values()))
+    while sum(map(len, rels.values())) < target:
+        rel = rng.choice(sorted(arity))
+        rels[rel].add(tuple(rng.choice('aabc') for _ in range(arity[rel])))
+    db = Database(rels)
+    facts = db.facts()
+    return TID(db, {f: Fraction(rng.randint(0, 4), 4) for f in facts},
+               {f: 'x' if rng.random() < 0.25 else 'n' for f in facts})
+
+
+def negated_lineage(q, db):
+    """The compiled negated lineage, built here from the DNF whatever the
+    query, so hierarchical queries can check both routes."""
+    dnf = provenance_dnf(q, db)
+    formula = CNFFormula.from_lists(dnf.num_vars, [[-1 - v for v, _ in term]
+                                                   for term in dnf.terms])
+    return compile_dpll(formula, 'most_occurrences')[0]
+
+
+def test_lineage_route_against_subsets_and_permutations():
+    rng = random.Random(61)
+    for text in LINEAGE_SHAPES:
+        q = parse_cq(text)
+        for _ in range(8):
+            tid = random_lineage_tid(q, rng, 12)
+            facts = tid.db.facts()
+            n = len(facts)
+            holds = holding_masks(q, facts)
+            assert pqe(q, tid) == subset_probability(q, tid)
+            assert uniform_reliability(q, tid.db) == len(holds)
+            endo = tid.endogenous()
+            exo = tid.exogenous()
+            seen = {}
+
+            def value(subset):
+                key = frozenset(subset)
+                if key not in seen:
+                    seen[key] = int(query_true_on(q.head, q.atoms, exo + sorted(key)))
+                return seen[key]
+
+            values = shapley_all(q, tid)
+            assert values == {f: shapley_direct(endo, value, f) for f in endo}
+            for target in endo[:2]:
+                assert shapley(q, tid, target) == values[target]
+            full = int((1 << n) - 1 in holds)
+            assert sum(values.values()) == full - value(())
+            # the negated lineage gives the same answers on every query
+            circuit = negated_lineage(q, tid.db)
+            fv = FactVar(tid.db)
+            probs = {fv.var_of[f]: tid.prob[f] for f in facts}
+            assert 1 - wmc(circuit, WeightMap.from_probabilities(probs)) == pqe(q, tid)
+            assert (1 << n) - model_count(circuit) == len(holds)
+            assert {f: -v for f, v in _shapley_by_derivative(circuit, 1, tid).items()} == values
+
+
+def block_tid(rng, num_blocks):
+    """Blocks for Q() :- R(x), S(x, y), T(y), each two x and two y values
+    joined by three or four S edges, so P(Q) and UR factorise over blocks;
+    one fact in five exogenous."""
+    blocks = []
+    for b in range(num_blocks):
+        xs, ys = (f"x{b}_0", f"x{b}_1"), (f"y{b}_0", f"y{b}_1")
+        edges = rng.sample([(x, y) for x in xs for y in ys], rng.choice((3, 4)))
+        blocks.append([('R', (x,)) for x in xs] + [('S', e) for e in edges]
+                      + [('T', (y,)) for y in ys])
+    facts = [f for block in blocks for f in block]
+    rels = {'R': set(), 'S': set(), 'T': set()}
+    for rel, values in facts:
+        rels[rel].add(values)
+    tid = TID(Database(rels), {f: Fraction(rng.randint(1, 3), 4) for f in facts},
+              {f: 'x' if rng.random() < 0.2 else 'n' for f in facts})
+    return tid, blocks
+
+
+def test_lineage_route_on_a_400_fact_block_tid():
+    q = parse_cq("Q() :- R(x), S(x, y), T(y).")
+    tid, blocks = block_tid(random.Random(67), 50)
+    n = len(tid.db.facts())
+    assert 370 <= n <= 400
+    miss = Fraction(1)
+    ur_miss = 1
+    for block in blocks:
+        sub = TID(Database({rel: {v for r, v in block if r == rel} for rel in 'RST'}),
+                  {f: tid.prob[f] for f in block}, {f: tid.kind[f] for f in block})
+        miss *= 1 - subset_probability(q, sub)
+        ur_miss *= (1 << len(block)) - len(holding_masks(q, block))
+    assert pqe(q, tid) == 1 - miss
+    assert uniform_reliability(q, tid.db) == (1 << n) - ur_miss
+
+    tid, _ = block_tid(random.Random(71), 13)
+    assert 90 <= len(tid.db.facts()) <= 104
+    values = shapley_all(q, tid)
+    base = query_true_on(q.head, q.atoms, tid.exogenous())
+    assert sum(values.values()) == 1 - base
 
 
 # -- TID parsing ---------------------------------------------------------------------------------
