@@ -4,16 +4,32 @@ The compiler branches on a variable, compiles both restrictions, and joins
 them under a decision gate; independent connected components of the
 residual clause set are compiled separately and joined by a decomposable
 AND.  Residual clause sets are cached by their canonical form after unit
-propagation, and hash-consing in the builder shares identical subcircuits.
+propagation, the sorted multiset of their sorted clauses, and hash-consing
+in the builder shares identical subcircuits.
 
 Unit propagations are recorded as decision gates with a constant branch so
 the output is always decision-shaped.  Clauses use DIMACS literals (signed,
 variables 1..n); circuit variable k corresponds to DIMACS variable k+1.
+
+The search does not recurse: one explicit stack of frames runs it, so its
+depth is bounded by memory, not by Python's recursion limit.  A residual
+maps original clause ids to (sorted literal tuple, variable mask).  Setting
+a literal visits only the clauses of its variable, through occurrence
+lists built once per formula, and propagation takes the unit clause of
+least id from a heap, as a scan in clause order would.  Components come
+from one sweep over the clause masks, and `first_unassigned` reads the
+lowest bit of their union.  Each step still costs O(residual), since the
+residual is copied, swept and sorted into its cache key, so an implication
+chain without a unit clause, which decides once per variable, stays
+quadratic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from heapq import heappop, heappush
+from operator import or_
 from typing import Iterable, Optional
 
 from .circuits import BoolCircuit, CircuitBuilder, Valuation
@@ -92,78 +108,60 @@ def parse_dimacs(text: str) -> CNFFormula:
     return CNFFormula(num_vars, tuple(clauses))
 
 
-def _unit_propagate(clauses):
-    """Return (forced literals in propagation order, residual clauses);
-    residual is None on conflict."""
-    clauses = list(clauses)
-    forced = []
-    assigned = {}
-    while True:
-        unit = None
-        for clause in clauses:
-            if not clause:
-                return forced, None
-            if len(clause) == 1:
-                unit = next(iter(clause))
-                break
-        if unit is None:
-            return forced, clauses
-        forced.append(unit)
-        assigned[abs(unit)] = unit
-        new_clauses = []
-        for clause in clauses:
-            if unit in clause:
-                continue
-            if -unit in clause:
-                clause = clause - {-unit}
-                if not clause:
-                    return forced, None
-            new_clauses.append(clause)
-        clauses = new_clauses
+def _mask(clause) -> int:
+    """Bit v set for each variable v of the clause."""
+    m = 0
+    for lit in clause:
+        m |= 1 << abs(lit)
+    return m
 
 
-def _condition_clauses(clauses, lit: int):
-    out = []
-    for clause in clauses:
-        if lit in clause:
-            continue
-        if -lit in clause:
-            clause = clause - {-lit}
-        out.append(clause)
-    return out
+def _components(clauses, masks=None):
+    """Group non-empty clauses by connected components of the variable graph.
+
+    One sweep ORs each clause's variable mask (`masks[i]` for `clauses[i]`,
+    computed when omitted) into the components it meets, which it finds
+    from the most recent one back until all its variables are placed.
+    Groups are built only on a split: in order of their first clause,
+    clauses in their given order.
+    """
+    if masks is None:
+        masks = [_mask(c) for c in clauses]
+    comps = []
+    union = 0
+    for m in masks:
+        seen = m & union
+        union |= m
+        if not seen:
+            comps.append(m)
+        elif not seen & ~comps[-1]:
+            comps[-1] |= m
+        else:
+            i = len(comps)
+            while seen:
+                i -= 1
+                if comps[i] & seen:
+                    seen &= ~comps[i]
+                    m |= comps.pop(i)
+            comps.append(m)
+    if len(comps) == 1:
+        return [clauses]
+    owner = {}
+    for i, comp in enumerate(comps):
+        while comp:
+            low = comp & -comp
+            owner[low.bit_length()] = i
+            comp ^= low
+    groups = {}
+    for clause, m in zip(clauses, masks):
+        groups.setdefault(owner[(m & -m).bit_length()], []).append(clause)
+    return list(groups.values())
 
 
-def _components(clauses):
-    """Group clauses by connected components of the variable graph: one
-    BFS over a variable -> clause index map, groups in order of their
-    first clause, clauses in their given order."""
-    occurs = {}
-    for i, clause in enumerate(clauses):
-        for lit in clause:
-            occurs.setdefault(abs(lit), []).append(i)
-    seen = [False] * len(clauses)
-    groups = []
-    for first in range(len(clauses)):
-        if seen[first]:
-            continue
-        seen[first] = True
-        group = [first]
-        for i in group:            # the queue grows while it is read
-            for lit in clauses[i]:
-                for j in occurs.pop(abs(lit), ()):
-                    if not seen[j]:
-                        seen[j] = True
-                        group.append(j)
-        if len(group) == len(clauses):
-            return [clauses]
-        group.sort()
-        groups.append([clauses[i] for i in group])
-    return groups
-
-
-def _pick_variable(clauses, heuristic: str) -> int:
+def _pick_variable(clauses, masks, heuristic: str) -> int:
     if heuristic == 'first_unassigned':
-        return min(abs(lit) for clause in clauses for lit in clause)
+        union = reduce(or_, masks)
+        return (union & -union).bit_length() - 1
     if heuristic == 'most_occurrences':
         occ = {}
         for clause in clauses:
@@ -184,6 +182,9 @@ def _pick_variable(clauses, heuristic: str) -> int:
 
 HEURISTICS = ('first_unassigned', 'most_occurrences', 'min_cut_greedy')
 
+# frames of the explicit stack in compile_dpll
+_RESTRICT, _SOLVE, _WRAP, _DECIDE, _CONJOIN = range(5)
+
 
 def compile_dpll(formula: CNFFormula, heuristic: str = 'first_unassigned',
                  use_cache: bool = True) -> tuple:
@@ -195,49 +196,109 @@ def compile_dpll(formula: CNFFormula, heuristic: str = 'first_unassigned',
     b = CircuitBuilder(formula.num_vars)
     stats = CompileStats()
     cache = {}
+    clauses = [tuple(sorted(c)) for c in formula.clauses]
+    occurs = [[] for _ in range(formula.num_vars + 1)]
+    for cid, clause in enumerate(clauses):
+        for var in {abs(lit) for lit in clause}:
+            occurs[var].append(cid)
 
-    def wrap_units(forced, node: int) -> int:
-        for lit in reversed(forced):
-            var = abs(lit) - 1
-            if lit > 0:
-                node = b.decision(var, b.false(), node)
+    def restrict(residual: dict, lit: int):
+        """Set `lit` (0 at the root), then propagate the unit clause of
+        least id until none is left.  Returns (forced literals, residual),
+        the residual None on conflict."""
+        cur = dict(residual)
+        units = [] if lit else [cid for cid, (c, _) in cur.items() if len(c) < 2]
+        forced = []
+        while True:
+            var = abs(lit)
+            for cid in occurs[var]:
+                entry = cur.get(cid)
+                if entry is None:
+                    continue
+                clause = entry[0]
+                if lit in clause:
+                    del cur[cid]
+                    continue
+                clause = tuple([x for x in clause if x != -lit])
+                if not clause:
+                    return forced, None
+                cur[cid] = (clause, entry[1] ^ (1 << var))
+                if len(clause) == 1:
+                    heappush(units, cid)
+            while units:
+                entry = cur.get(heappop(units))
+                if entry is not None:
+                    break
             else:
-                node = b.decision(var, node, b.false())
-        return node
+                return forced, cur
+            if not entry[0]:
+                return forced, None
+            lit = entry[0][0]
+            forced.append(lit)
 
-    def recurse(clauses) -> int:
-        forced, residual = _unit_propagate(clauses)
-        if residual is None:
-            return b.false()
-        return wrap_units(forced, compile_residual(residual))
-
-    def compile_residual(residual) -> int:
-        if not residual:
-            return b.true()
-        key = None
-        if use_cache:
-            key = tuple(sorted(tuple(sorted(c)) for c in residual))
-            hit = cache.get(key)
-            if hit is not None:
-                stats.cache_hits += 1
-                return hit
-        comps = _components(residual)
-        if len(comps) > 1:
-            stats.component_splits += 1
-            node = b.conj(tuple(recurse(comp) for comp in comps))
+    # Each frame runs one step of the recursive search: restrict a residual
+    # by a literal, solve a propagated residual, wrap forced literals around
+    # the node just built, or join the last two (decision) or k (component)
+    # nodes.  Results go on `built`, in the order the recursion returned them.
+    todo = [(_RESTRICT, {cid: (c, _mask(c)) for cid, c in enumerate(clauses)}, 0)]
+    built = []
+    while todo:
+        op, arg, extra = todo.pop()
+        if op == _RESTRICT:
+            forced, residual = restrict(arg, extra)
+            if residual is None:
+                built.append(b.false())
+                continue
+            if forced:
+                todo.append((_WRAP, forced, None))
+            todo.append((_SOLVE, residual, None))
+        elif op == _SOLVE:
+            if not arg:
+                built.append(b.true())
+                continue
+            residual, masks = zip(*arg.values())
+            key = None
+            if use_cache:
+                key = tuple(sorted(residual))
+                hit = cache.get(key)
+                if hit is not None:
+                    stats.cache_hits += 1
+                    built.append(hit)
+                    continue
+            comps = _components(list(arg), masks)
+            if len(comps) > 1:
+                stats.component_splits += 1
+                todo.append((_CONJOIN, len(comps), key))
+                for comp in reversed(comps):
+                    todo.append((_SOLVE, {cid: arg[cid] for cid in comp}, None))
+            else:
+                var = _pick_variable(residual, masks, heuristic)
+                stats.decision_count += 1
+                todo.append((_DECIDE, var, key))
+                todo.append((_RESTRICT, arg, var))
+                todo.append((_RESTRICT, arg, -var))
+        elif op == _WRAP:
+            node = built.pop()
+            for lit in reversed(arg):
+                var = abs(lit) - 1
+                if lit > 0:
+                    node = b.decision(var, b.false(), node)
+                else:
+                    node = b.decision(var, node, b.false())
+            built.append(node)
         else:
-            var = _pick_variable(residual, heuristic)
-            stats.decision_count += 1
-            lo = recurse(_condition_clauses(residual, -var))
-            hi = recurse(_condition_clauses(residual, var))
-            node = b.decision(var - 1, lo, hi)
-        if use_cache:
-            cache[key] = node
-        return node
+            if op == _DECIDE:
+                hi = built.pop()
+                node = b.decision(arg - 1, built.pop(), hi)
+            else:
+                node = b.conj(tuple(built[-arg:]))
+                del built[-arg:]
+            if use_cache:
+                cache[extra] = node
+            built.append(node)
 
-    root = recurse(list(formula.clauses))
     stats.peak_cache_entries = len(cache)
-    return b.finish(root), stats
+    return b.finish(built.pop()), stats
 
 
 @dataclass

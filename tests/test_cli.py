@@ -339,13 +339,19 @@ def test_count_rejects_nondeterministic_circuit(tmp_path, capsys):
 
 
 def test_input_too_deep_for_recursion_is_one_line_domain_error(tmp_path, capsys):
-    # an implication chain x1 -> x2 -> ... -> x1500 nests deeper than the
-    # recursive DPLL compiler can go
-    n = 1500
-    cnf = tmp_path / "chain.cnf"
-    cnf.write_text(f"p cnf {n} {n - 1}\n"
-                   + "".join(f"-{i} {i + 1} 0\n" for i in range(1, n)))
-    code, _, err = run_cli(capsys, 'compile-cnf', '--cnf', str(cnf))
+    # a caterpillar tree 1500 levels deep nests deeper than the recursive
+    # tree reader can go
+    depth = 1500
+    leaf = '{"label": "a"}'
+    tree = tmp_path / "deep.json"
+    tree.write_text('{"label": "a", "children": [' * depth + leaf
+                    + (', ' + leaf + ']}') * depth)
+    automaton = tmp_path / "a.json"
+    automaton.write_text(json.dumps({
+        "states": [0, 1], "accepting": [1], "leaf": {"a": 1},
+        "internal": [[s1, s2, 'a', s1 | s2] for s1 in (0, 1) for s2 in (0, 1)]}))
+    code, _, err = run_cli(capsys, 'tree-pqe', '--tree', str(tree),
+                           '--automaton', str(automaton))
     assert code == 1
     assert err.startswith('error: ') and err.count('\n') == 1, err
     assert 'Traceback' not in err

@@ -1,12 +1,19 @@
+import hashlib
 import random
+import sys
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
 from kcomp.circuits import classify, smooth
 from kcomp.cnf import (CNFFormula, compile_dpll, parse_dimacs,
                        verify_equivalence, HEURISTICS, _components)
+from kcomp.cq import Database, parse_cq
 from kcomp.errors import (ClauseCountMismatch, LiteralOutOfRange,
                           MalformedHeader)
+from kcomp.nnf_io import write_nnf
+from kcomp.provenance import TID, pqe
 from kcomp.queries import model_count
 
 from oracles import clause_components, cnf_models, models_of
@@ -167,3 +174,136 @@ def test_components_match_union_find_reference():
         assert got == clause_components(clauses)
         several += len(got) > 1
     assert several > 200
+
+
+# -- pinned output -----------------------------------------------------------------
+#
+# SHA-256 of `write_nnf` plus the four `CompileStats` fields, under every
+# heuristic with the cache on and off, recorded before the compiler was
+# rewritten as an explicit-stack search.  The same search must build the
+# same circuit node for node.
+
+def banded_cnf(rng, num_vars, per_window=2, width=6):
+    clauses = []
+    for start in range(1, num_vars - width + 2):
+        for _ in range(per_window):
+            vs = rng.sample(range(start, start + width), 3)
+            clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+    return CNFFormula.from_lists(num_vars, clauses)
+
+
+def _pinned_corpus():
+    """Case name -> (formulas, cache settings); without the cache the
+    search on a banded formula grows exponentially, so the 40-variable one
+    runs with the cache only."""
+    both = (True, False)
+    rng = random.Random(31)
+    randoms = [random_cnf(rng, rng.randint(1, 16), rng.randint(1, 40)) for _ in range(120)]
+    return {
+        'random': (randoms, both),
+        'banded': ([banded_cnf(random.Random(5), 40)], (True,)),
+        'banded_small': ([banded_cnf(random.Random(6), 18)], both),
+        'empty': ([CNFFormula.from_lists(0, []), CNFFormula.from_lists(3, [])], both),
+        'empty_clause': ([CNFFormula.from_lists(2, [[1, 2], []])], both),
+        'unsat': ([CNFFormula.from_lists(1, [[1], [-1]]),
+                   CNFFormula.from_lists(3, [[1, 2], [1, -2], [-1, 3], [-1, -3]])], both),
+        'unit': ([CNFFormula.from_lists(3, [[2]]),
+                  CNFFormula.from_lists(4, [[3, 4], [-1], [1, 2, -4], [2]])], both),
+        'tautology': ([CNFFormula.from_lists(3, [[1, -1], [2, 3]]),
+                       CNFFormula.from_lists(3, [[1, -1, 2], [-2, 3], [1, -3]])], both),
+        # both branches on x1 leave the clause (2 3), once and twice
+        'duplicates': ([CNFFormula.from_lists(4, [[1, 2, 3], [2, 3], [-1, 4]]),
+                        CNFFormula.from_lists(3, [[1, 2], [1, 2], [-1, 3], [-1, 3]])], both),
+    }
+
+
+def _fingerprint(formulas, caches):
+    h = hashlib.sha256()
+    for heuristic in HEURISTICS:
+        for use_cache in caches:
+            for f in formulas:
+                circuit, s = compile_dpll(f, heuristic=heuristic, use_cache=use_cache)
+                h.update(write_nnf(circuit).encode())
+                h.update(f"{s.decision_count} {s.cache_hits} {s.component_splits} "
+                         f"{s.peak_cache_entries}\n".encode())
+    return h.hexdigest()
+
+
+PINNED = {
+    'banded': '7ae4d854592af12b5c8635d91d75af26ed75f666616ce457c5692319d560f127',
+    'banded_small': 'e1314dd0ba6b0f9c49fbd7aac314d19ca95eba7b9ac34cc1e0871026d707e57b',
+    'duplicates': 'ff938670350151ae98d973d09b9781674000996ecdf4fbe2c3f98148af55d1e2',
+    'empty': 'd93ac4f9cf5a80e9fd1b9282e4d291efb7ef3a95538bed4cc751bdf5de19cfd7',
+    'empty_clause': '672e18f58cb8e19cff495aeaa986902e5f2a2b1b5fff3bfdee8f3ac038971962',
+    'random': 'c86a28fd180d61396a423fa26b87b1abe86de5ad406cbf0e5b1428bb81d2e5e0',
+    'tautology': 'beb9cee743726545aaac14be93f709fde80a91f6a393aa95c41962cdd865168f',
+    'unit': '7722929c4943ddec9b99d521a1340660ae1441bd64f7fba6f2273858ba6f8ad6',
+    'unsat': 'c40279b210675db6619524e75af104988db1e5c7b26a4140515729b745970d92',
+}
+
+
+@pytest.mark.parametrize('case', sorted(PINNED))
+def test_compile_output_is_pinned(case):
+    assert _fingerprint(*_pinned_corpus()[case]) == PINNED[case]
+
+
+def test_duplicate_clauses_keep_the_cache_key_a_multiset():
+    f = CNFFormula.from_lists(4, [[1, 2, 3], [2, 3], [-1, 4]])
+    circuit, stats = compile_dpll(f)
+    assert stats.cache_hits == 0 and stats.peak_cache_entries == 3
+    assert model_count(smooth(circuit)) == len(cnf_models(f.num_vars, f.clauses))
+
+
+# -- depth and scale ---------------------------------------------------------------
+#
+# The search keeps its own stack, so its depth is bounded by memory, not by
+# Python's recursion limit.  The depth tests lower that limit to the current
+# frame depth plus a margin, far below the decision depth of the input.
+
+@contextmanager
+def _recursion_limit_near_current_depth(margin=150):
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + margin)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def implication_chain(n, unit_head=False):
+    """x1 -> x2 -> ... -> xn, with the unit clause x1 when asked."""
+    head = [[1]] if unit_head else []
+    return CNFFormula.from_lists(n, head + [[-i, i + 1] for i in range(1, n)])
+
+
+def test_compile_deep_implication_chain():
+    n = 400
+    with _recursion_limit_near_current_depth():
+        circuit, stats = compile_dpll(implication_chain(n))
+        assert model_count(circuit) == n + 1
+    assert stats.decision_count == n - 1
+
+
+def test_exact_pqe_of_a_self_join_path_query_on_a_long_path():
+    # Q holds iff two consecutive edges of the path are both present
+    n = 300
+    probs = [Fraction(1 + i % 7, 9) for i in range(n)]
+    facts = {('R', (f"a{i}", f"a{i + 1}")): p for i, p in enumerate(probs)}
+    tid = TID(Database({'R': {vals for _, vals in facts}}), facts,
+              {f: 'n' for f in facts})
+    absent, present = Fraction(1), Fraction(0)
+    for p in probs:
+        absent, present = (absent + present) * (1 - p), absent * p
+    with _recursion_limit_near_current_depth():
+        got = pqe(parse_cq("Q() :- R(x, y), R(y, z)."), tid)
+    assert got == 1 - absent - present
+
+
+def test_unit_head_propagates_a_long_chain():
+    n = 10 ** 4
+    circuit, stats = compile_dpll(implication_chain(n, unit_head=True))
+    assert model_count(circuit) == 1
+    assert stats.decision_count == 0
