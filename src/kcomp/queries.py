@@ -9,9 +9,15 @@ the syntactic shape).  The circuit need not be smooth: the variables an OR
 child misses, and those the output misses in the universe, are
 unconstrained, so the fold multiplies in their contribution (a factor 2
 each for counting, w(x) + w(not x) for WMC, max(w(x), w(not x)) for the
-best valuation).  Counting paths use exact integer and Fraction arithmetic
-throughout; floats appear only when the caller supplies a float semiring
-or float weights.
+best valuation).
+
+The exact folds run on ints.  With Fraction weights, WMC over RATIONAL and
+the best valuation scale the weights of each variable x by d_x, the lcm of
+their denominators: a node over V holds its value times the product of d_x
+over V, as does every padded child of an OR gate (so their sums and
+comparisons are exact), and one division ends the call.  Counts by
+cardinality pack each polynomial in z into one int.  Floats appear only
+with a float semiring or float weights.
 
 Witnesses, samples and best valuations share one top-down descent that
 picks one child per OR gate; the variables it leaves unassigned are filled
@@ -144,6 +150,23 @@ def _weighted_fold(circuit: BoolCircuit, weights: WeightMap, one, zero,
     return _fold(circuit, weights.__getitem__, one, zero, times, plus, pad) + (pad,)
 
 
+def _scaled(circuit: BoolCircuit, weights: WeightMap) -> Optional[tuple]:
+    """(the weights of each x times d_x, the product of the d_x), d_x the lcm
+    of the denominators of x's weights; None unless all are Fractions."""
+    weights.check_covers(circuit.universe)
+    ints = {}
+    denominator = 1
+    for v in circuit.universe:
+        pos, neg = weights[(v, True)], weights[(v, False)]
+        if not (isinstance(pos, Fraction) and isinstance(neg, Fraction)):
+            return None
+        d = math.lcm(pos.denominator, neg.denominator)
+        ints[(v, True)] = pos.numerator * (d // pos.denominator)
+        ints[(v, False)] = neg.numerator * (d // neg.denominator)
+        denominator *= d
+    return WeightMap(ints), denominator
+
+
 def _descend(circuit: BoolCircuit, pick, fill) -> Valuation:
     """A model from one top-down walk through every AND child and the child
     pick(gate, children) names at each OR gate; the variables the walk
@@ -212,58 +235,44 @@ def model_count(circuit: BoolCircuit, assume_deterministic: bool = False) -> int
 
 def wmc(circuit: BoolCircuit, weights: WeightMap, semiring: Semiring = RATIONAL,
         assume_deterministic: bool = False):
-    """Semiring sum over satisfying valuations of literal weight products."""
+    """Semiring sum over satisfying valuations of literal weight products
+    (over RATIONAL with Fraction weights, on `_scaled` numerators)."""
     _require_deterministic(circuit, assume_deterministic)
+    scaled = _scaled(circuit, weights) if semiring is RATIONAL else None
+    if scaled is not None:
+        top = _weighted_fold(circuit, scaled[0], 1, 0, operator.mul,
+                             operator.add, operator.add)[1]
+        return Fraction(top, scaled[1])
     return _weighted_fold(circuit, weights, semiring.one, semiring.zero,
                           semiring.times, semiring.plus, semiring.plus)[1]
-
-
-# a positive and a negative literal as polynomials in z; the fold's leaves
-# share these lists, so a product can shift by a literal instead of
-# convolving with it
-_Z = [0, 1]
-_UNIT = [1, 0]
-
-
-def _convolve(a: list, b: list) -> list:
-    """Product of two polynomials in z, as coefficient lists."""
-    if a is _Z or a is _UNIT:
-        a, b = b, a
-    if b is _Z:
-        return [0] + a
-    if b is _UNIT:
-        # like the convolution it replaces, it lengthens the vector by one
-        return a + [0]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
 
 
 def count_by_cardinality(circuit: BoolCircuit,
                          assume_deterministic: bool = False) -> list:
     """Vector c with c[k] = number of satisfying valuations of weight k.
 
-    The fold over polynomials in z: a node's vector has one entry per
-    weight 0..|var(node)|, AND convolves (a literal child shifts), OR adds,
-    and k missing variables convolve with the binomial row (1 + z)^k.
+    The fold over polynomials in z, valued at z = 2^B: a positive literal
+    is z, a negative one 1, AND multiplies, OR adds and k missing variables
+    multiply by (z + 1)^k.  The output's coefficients are nonnegative and
+    add up to the model count, below 2^B, so they are its base-2^B digits.
     """
     _require_deterministic(circuit, assume_deterministic)
+    width = _gate_counts(circuit)[1].bit_length() // 8 + 1     # bytes per digit
+    z = 1 << 8 * width
     rows = {}
 
-    def pad(vec: list, gate: int, child: int) -> list:
+    def pad(value: int, gate: int, child: int) -> int:
         k = (gate & ~child).bit_count()
-        row = rows.get(k)
+        row = rows.get(k) if value else 1       # no row for a child without models
         if row is None:
-            row = rows[k] = [math.comb(k, j) for j in range(k + 1)]
-        return _convolve(vec, row)
+            row = rows[k] = (z + 1) ** k
+        return value * row
 
-    _, top = _fold(circuit, lambda key: _Z if key[1] else _UNIT, [1], [0],
-                   _convolve, lambda a, b: [x + y for x, y in zip(a, b)], pad)
-    return list(top)
+    _, top = _fold(circuit, lambda key: z if key[1] else 1, 1, 0,
+                   operator.mul, operator.add, pad)
+    digits = top.to_bytes(width * (len(circuit.universe) + 1), 'little')
+    return [int.from_bytes(digits[i:i + width], 'little')
+            for i in range(0, len(digits), width)]
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -367,12 +376,14 @@ def best_valuation(circuit: BoolCircuit, weights: WeightMap,
     product.
 
     The max-times fold, where None stands for "no valuation" and 0 is an
-    ordinary weight.  Ties at an OR gate break toward the lowest-indexed
-    child, and a variable the descent leaves unassigned takes its heavier
-    literal, value 0 on a tie between its two weights.
+    ordinary weight, on `_scaled` numerators for Fraction weights.  Ties at
+    an OR gate break toward the lowest-indexed child, and a variable the
+    descent leaves unassigned takes its heavier literal, value 0 on a tie
+    between its two weights.
     """
     _require_deterministic(circuit, assume_deterministic)
-    vals, top, pad = _weighted_fold(circuit, weights, 1, None,
+    ints, denominator = _scaled(circuit, weights) or (weights, None)
+    vals, top, pad = _weighted_fold(circuit, ints, 1, None,
                                     _times_or_none, _max_or_none, max)
     if top is None:
         raise Unsatisfiable("no satisfying valuation")
@@ -384,7 +395,7 @@ def best_valuation(circuit: BoolCircuit, weights: WeightMap,
 
     val = _descend(circuit, pick,
                    lambda v: 1 if weights[(v, True)] > weights[(v, False)] else 0)
-    return val, top
+    return val, top if denominator is None else Fraction(top, denominator)
 
 
 # -- approximate DNF counting --------------------------------------------------
@@ -432,26 +443,15 @@ def approx_count_dnf(dnf: DNFFormula, probs: dict, params: ApproxParams) -> Frac
 
     base = np.array([float(probs[v]) for v in range(n)])
     per_term_p = np.tile(base, (m, 1))
-    pos_mask = np.zeros(m, dtype=np.uint64)
-    neg_mask = np.zeros(m, dtype=np.uint64)
-    if n > 62:
-        raise ValueError("sampler supports at most 62 variables")
     for j, term in enumerate(dnf.terms):
         for var, pol in term:
-            per_term_p[j, var] = 1.0 if pol else 0.0
-            if pol:
-                pos_mask[j] |= np.uint64(1 << var)
-            else:
-                neg_mask[j] |= np.uint64(1 << var)
-
-    draw_p = per_term_p[chosen]
-    bits = rng.random((trials, n)) < draw_p
-    powers = (1 << np.arange(n, dtype=np.uint64))
-    packed = (bits * powers).sum(axis=1).astype(np.uint64)
+            per_term_p[j, var] = pol
+    bits = rng.random((trials, n)) < per_term_p[chosen]
 
     first = np.full(trials, m, dtype=np.int64)
-    for j in range(m):
-        sat = ((packed & pos_mask[j]) == pos_mask[j]) & ((packed & neg_mask[j]) == 0)
+    for j, term in enumerate(dnf.terms):
+        pos = np.array([var for var, pol in term if pol], dtype=np.intp)
+        neg = np.array([var for var, pol in term if not pol], dtype=np.intp)
+        sat = bits[:, pos].all(1) & ~bits[:, neg].any(1)
         first = np.where(sat & (first == m), j, first)
-    successes = int(np.count_nonzero(first == chosen))
-    return total * Fraction(successes, trials)
+    return total * Fraction(int(np.count_nonzero(first == chosen)), trials)

@@ -12,11 +12,19 @@ Likewise `enumerate_decision_recursive` and `enumerate_rel_recursive` keep
 the package's older recursive enumerators, whose answer sequences the
 stack-based `_dag.answers` must reproduce in order, and `var_sets` keeps
 the package's older per-node frozensets of variables, which its variable
-masks must decode to.
+masks must decode to.  `cardinality_by_convolution`, `RATIONAL_GENERIC` and
+`best_valuation_generic` keep the package's older exact folds, over lists
+of coefficients and over Fractions, which its integer folds must match.
 """
 
+import operator
 from fractions import Fraction
-from math import factorial
+from functools import reduce
+from math import comb, factorial
+
+from kcomp._dag import branch_values
+from kcomp.queries import (Semiring, _descend, _fold, _max_or_none,
+                           _times_or_none, _weighted_fold)
 
 
 # -- Boolean circuits: truth tables as bit masks ------------------------------
@@ -268,6 +276,53 @@ def weighted_sum(circuit, weights):
                 w *= weights[(v, bool(bit))]
             total += w
     return total
+
+
+# -- the generic folds that the integer folds replace --------------------------
+
+# equal to RATIONAL but not the same object, so `wmc` takes the generic fold
+RATIONAL_GENERIC = Semiring(Fraction(0), Fraction(1), operator.add,
+                            operator.mul, "rational")
+
+
+def _convolve(a, b):
+    """Product of two polynomials in z, as coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def cardinality_by_convolution(circuit):
+    """`count_by_cardinality` as the fold over coefficient lists: a node's
+    list has one entry per weight 0..|var(node)|, AND convolves, OR adds,
+    and k missing variables convolve with the binomial row (1 + z)^k."""
+    def pad(vec, gate, child):
+        k = (gate & ~child).bit_count()
+        return _convolve(vec, [comb(k, j) for j in range(k + 1)])
+
+    _, top = _fold(circuit, lambda key: [0, 1] if key[1] else [1, 0], [1], [0],
+                   _convolve, lambda a, b: [x + y for x, y in zip(a, b)], pad)
+    return top
+
+
+def best_valuation_generic(circuit, weights):
+    """`best_valuation` as the max-times fold on the weights as given, with
+    the same descent and ties; None when the circuit has no model."""
+    vals, top, pad = _weighted_fold(circuit, weights, 1, None,
+                                    _times_or_none, _max_or_none, max)
+    if top is None:
+        return None
+    sets = circuit.varsets()
+
+    def pick(nid, kids):
+        values = branch_values(vals, sets, pad, nid, kids)
+        return kids[values.index(reduce(_max_or_none, values))]
+
+    val = _descend(circuit, pick,
+                   lambda v: 1 if weights[(v, True)] > weights[(v, False)] else 0)
+    return val, top
 
 
 def valuation_to_bits(val, svars):

@@ -345,6 +345,26 @@ def test_pqe_approx_non_hierarchical_within_band():
     assert abs(est - exact) <= Fraction(1, 10) * exact
 
 
+def test_pqe_approx_past_62_facts_within_band_of_exact():
+    # ten blocks of two R, three or four S and two T facts: 75 variables
+    rng = random.Random(80)
+    relations = {'R': set(), 'S': set(), 'T': set()}
+    for b in range(10):
+        xs, ys = [f"x{b}_{i}" for i in range(2)], [f"y{b}_{i}" for i in range(2)]
+        edges = [(x, y) for x in xs for y in ys]
+        relations['R'] |= {(x,) for x in xs}
+        relations['S'] |= set(rng.sample(edges, 3 if b % 2 else 4))
+        relations['T'] |= {(y,) for y in ys}
+    db = Database(relations)
+    tid = TID(db, {f: Fraction(rng.randint(1, 4), 10) for f in db.facts()}, {})
+    assert len(FactVar(db)) == 75
+    q = parse_cq("Q() :- R(x), S(x, y), T(y).")
+    exact = pqe(q, tid)
+    assert 0 < exact < Fraction(1, 2)
+    est = pqe(q, tid, mode='approx', params=ApproxParams(0.1, 0.05, 3))
+    assert abs(est - exact) <= Fraction(1, 10) * exact
+
+
 def test_uniform_reliability_toy():
     assert uniform_reliability(toy_query(), toy_db()) == 3
 
