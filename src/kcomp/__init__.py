@@ -2,21 +2,19 @@
 sampling, and query provenance."""
 
 from .circuits import (BoolCircuit, CircuitBuilder, ClassReport, DNFFormula,
-                       VTree, check_determinism_semantic, classify, condition,
-                       smooth, to_nnf, varset)
+                       VTree, classify, condition, smooth, to_nnf, varset)
 from .nnf_io import read_nnf, write_nnf
 from .queries import (COUNTING, FLOAT, MAX_TIMES, RATIONAL, ApproxParams,
                       Semiring, WeightMap, approx_count_dnf, best_valuation,
                       count_by_cardinality, enumerate_models, model_count,
                       sample_uniform, satisfiable, witness, wmc)
-from .cnf import (CNFFormula, CompileStats, compile_dpll, parse_dimacs,
-                  verify_equivalence)
+from .cnf import CNFFormula, CompileStats, compile_dpll, parse_dimacs
 from .relational import (RelBuilder, RelCircuit, classify_rel, count_rel,
                          direct_access, enumerate_rel, eval_rel, from_boolean,
                          project_away, read_rel, to_boolean, write_rel)
 from .cq import (ConjunctiveQuery, Database, answer_access, answer_count,
                  answer_enum, compile_cq, elimination_order, is_acyclic,
-                 is_free_connex, join_tree, parse_cq, query_holds)
+                 is_free_connex, join_tree, parse_cq)
 from .provenance import (TID, FactVar, ReadOnceTree, is_hierarchical, lift,
                          pqe, provenance_circuit_sjf, provenance_dnf,
                          provenance_read_once, read_once_to_obdd, shapley,

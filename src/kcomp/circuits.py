@@ -125,12 +125,6 @@ class ClassReport(_LazyWitness):
         return self.all_or_decision
 
 
-@dataclass
-class DeterminismVerdict:
-    status: str                      # 'deterministic' | 'notDeterministic' | 'unknown'
-    witness: Optional[Valuation] = None
-
-
 @dataclass(frozen=True)
 class DNFFormula:
     """Disjunction of terms; each term a frozenset of (var, polarity)."""
@@ -245,10 +239,6 @@ class BoolCircuit:
                         and True not in pols1):
                     return var
         return None
-
-    def structurally_equal(self, other: 'BoolCircuit') -> bool:
-        return (self.nodes == other.nodes and self.output == other.output
-                and self.universe == other.universe)
 
 
 class CircuitBuilder(Builder):
@@ -647,30 +637,3 @@ def classify(circuit: BoolCircuit, hint: Optional[VTree] = None) -> ClassReport:
     if hint is None:
         circuit._report = report
     return report
-
-
-# -- semantic determinism check ----------------------------------------------
-
-def check_determinism_semantic(circuit: BoolCircuit, max_vars: int = 20) -> DeterminismVerdict:
-    """Brute-force determinism check; 'unknown' above the variable cap.
-
-    Valuations are scanned in lexicographic order (smallest variable is the
-    most significant bit); the first valuation satisfying two children of
-    one OR gate is returned as the witness.
-    """
-    svars = circuit.sorted_vars()
-    n = len(svars)
-    if n > max_vars:
-        return DeterminismVerdict('unknown')
-    or_gates = [(nid, rec[1]) for nid, rec in enumerate(circuit.nodes)
-                if rec[0] == 'O' and len(rec[1]) > 1]
-    if not or_gates:
-        return DeterminismVerdict('deterministic')
-    for m in range(1 << n):
-        val = {svars[j]: (m >> (n - 1 - j)) & 1 for j in range(n)}
-        vals = truth_values(circuit.nodes,
-                            lambda var, positive: val[var] == positive)
-        for nid, kids in or_gates:
-            if sum(vals[c] for c in kids) >= 2:
-                return DeterminismVerdict('notDeterministic', val)
-    return DeterminismVerdict('deterministic')

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
 from operator import or_
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .circuits import BoolCircuit, CircuitBuilder, Valuation
+from .circuits import CircuitBuilder
 from .errors import ClauseCountMismatch, LiteralOutOfRange, MalformedHeader
 
 
@@ -299,27 +299,3 @@ def compile_dpll(formula: CNFFormula, heuristic: str = 'first_unassigned',
 
     stats.peak_cache_entries = len(cache)
     return b.finish(built.pop()), stats
-
-
-@dataclass
-class EquivalenceVerdict:
-    status: str                      # 'equivalent' | 'differs' | 'unknown'
-    witness: Optional[Valuation] = None
-
-
-def _clause_value(clause, val: Valuation) -> bool:
-    return any((val[abs(lit) - 1] == 1) == (lit > 0) for lit in clause)
-
-
-def verify_equivalence(formula: CNFFormula, circuit: BoolCircuit,
-                       max_vars: int = 16) -> EquivalenceVerdict:
-    """Exhaustive formula/circuit comparison, capped by variable count."""
-    n = formula.num_vars
-    if n > max_vars:
-        return EquivalenceVerdict('unknown')
-    for m in range(1 << n):
-        val = {j: (m >> (n - 1 - j)) & 1 for j in range(n)}
-        f_val = all(_clause_value(c, val) for c in formula.clauses)
-        if int(f_val) != circuit.evaluate(val):
-            return EquivalenceVerdict('differs', val)
-    return EquivalenceVerdict('equivalent')

@@ -16,6 +16,11 @@ fixed, the remaining existential part reduces to a cached emptiness test
 that stops at the first witness.  With an order witnessing free-connex
 acyclicity the circuit size, and the compile time up to a log factor, are
 linear in the database, up to query-dependent factors.
+
+A query that is not free-connex goes through the projection step of Bagan,
+Durand and Grandjean: it is compiled with every variable free, its answers
+are projected onto the head, and that set is compiled as the one atom of
+the free-connex `Q(head) :- A(head)`, at the cost of the full join.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .errors import (ArityMismatch, NotFreeConnex, OrderMissingVariables,
-                     OutOfRange, QuerySyntaxError, UnboundHeadVariable,
-                     UnknownRelation)
+                     QuerySyntaxError, UnboundHeadVariable, UnknownRelation)
 from .relational import RelBuilder, RelCircuit, count_rel, direct_access, enumerate_rel
 
 
@@ -317,19 +321,14 @@ def elimination_order(query: ConjunctiveQuery) -> list:
     if not query.atoms:
         return list(query.head)
     extended = _with_head_atom(query)
-    tree = join_tree(extended)
-    head_id = len(query.atoms)
-    tree = _reroot(tree, head_id)
-    order = []
-    for atom_id in tree.bfs_order():
-        for v in extended.atoms[atom_id][1]:
-            if v not in order:
-                order.append(v)
-    return order
+    tree = JoinTree(len(query.atoms), join_tree(extended).adjacency)
+    return _first_visits(extended, tree)
 
 
-def _reroot(tree: JoinTree, new_root: int) -> JoinTree:
-    return JoinTree(new_root, tree.adjacency)
+def _first_visits(query: ConjunctiveQuery, tree: JoinTree) -> list:
+    """The query's variables by first visit in a breadth-first walk of
+    its join tree."""
+    return list(dict.fromkeys(v for a in tree.bfs_order() for v in query.atoms[a][1]))
 
 
 # -- per-atom fact indexes --------------------------------------------------------
@@ -438,8 +437,7 @@ def _reduce_facts(query: ConjunctiveQuery, per_atom: list) -> list:
 # -- compilation -----------------------------------------------------------------------
 
 def compile_cq(query: ConjunctiveQuery, db: Database,
-               order: Optional[list] = None, reduce_first: bool = True,
-               use_cache: bool = True) -> RelCircuit:
+               order: Optional[list] = None) -> RelCircuit:
     """Compile the answer relation into an ordered decision circuit.
 
     The order must cover every query variable with the free variables as a
@@ -469,7 +467,7 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
     value_rank = {v: i for i, v in enumerate(values)}
     per_atom = [[tuple(value_rank[v] for v in f) for f in db.relations[rel]]
                 for rel, _ in query.atoms]
-    if reduce_first and is_acyclic(query):
+    if is_acyclic(query):
         per_atom = _reduce_facts(query, per_atom)
 
     indexes = [_AtomIndex(i, rel, vs, per_atom[i], rank)
@@ -570,18 +568,16 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
         if not atoms:
             return True
         key = state_key({a: atom_states[a] for a in atoms})
-        if use_cache:
-            hit = exists_cache.get(key)
-            if hit is not None:
-                return hit
+        hit = exists_cache.get(key)
+        if hit is not None:
+            return hit
         var = next_variable(atom_states, atoms)
         result = False
         for _, sub in branches(atom_states, atoms, var):
             if exists(sub, atoms):
                 result = True
                 break
-        if use_cache:
-            exists_cache[key] = result
+        exists_cache[key] = result
         return result
 
     def compile_part(atom_states: dict) -> int:
@@ -592,18 +588,16 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
         if not live:
             return b.unit()
         key = state_key(live)
-        if use_cache:
-            hit = circuit_cache.get(key)
-            if hit is not None:
-                return hit
+        hit = circuit_cache.get(key)
+        if hit is not None:
+            return hit
         comps = components(live)
         if len(comps) > 1:
             parts = []
             for comp in comps:
                 node = compile_part({a: live[a] for a in comp})
                 if b.nodes[node] == ('0',):
-                    if use_cache:
-                        circuit_cache[key] = b.empty()
+                    circuit_cache[key] = b.empty()
                     return b.empty()
                 if b.nodes[node] != ('1',):
                     parts.append(node)
@@ -622,8 +616,7 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
                         continue
                     children.append(b.join((b.input(var, values[r]), sub)))
                 node = b.union(tuple(children)) if children else b.empty()
-        if use_cache:
-            circuit_cache[key] = node
+        circuit_cache[key] = node
         return node
 
     initial = {}
@@ -648,69 +641,46 @@ def _check_relations(query: ConjunctiveQuery, db: Database) -> None:
                                 f"the query uses it with {len(vs)}")
 
 
-def homomorphisms(atoms: tuple, by_rel: dict) -> Iterator[tuple]:
-    """Backtracking join: yield (binding, used) for every homomorphism of
-    the atoms into the facts of `by_rel` (relation -> facts), with binding
-    the variable -> value map and used the fact matched by each atom.
-    Facts of another length than their atom are skipped."""
-    def extend(idx: int, binding: dict, used: tuple):
-        if idx == len(atoms):
-            yield binding, used
-            return
-        rel, vs = atoms[idx]
-        for fact in by_rel.get(rel, ()):
-            if len(fact) != len(vs):
-                continue
-            new = dict(binding)
-            for var, value in zip(vs, fact):
-                if new.setdefault(var, value) != value:
-                    break
-            else:
-                yield from extend(idx + 1, new, used + (fact,))
-
-    return extend(0, {}, ())
+def _body_order(query: ConjunctiveQuery) -> list:
+    """Every variable of the query, by `_first_visits` over the body's join
+    tree, or in `variables()` order when the body is cyclic.  With every
+    variable free, the first order witnesses free-connexity."""
+    tree = join_tree(query)
+    return query.variables() if tree is None else _first_visits(query, tree)
 
 
-def _materialize(query: ConjunctiveQuery, db: Database) -> list:
-    """Backtracking join; answers as dicts over the head variables."""
-    _check_relations(query, db)
-    answers = {tuple(binding[v] for v in query.head)
-               for binding, _ in homomorphisms(query.atoms, db.relations)}
-    ordered = sorted(answers,
-                     key=lambda t: tuple(domain_sort_key(v) for v in t))
-    return [dict(zip(query.head, t)) for t in ordered]
+def _compile_full(query: ConjunctiveQuery, db: Database) -> RelCircuit:
+    """Compile the query with every variable free, in `_body_order`."""
+    order = _body_order(query)
+    return compile_cq(ConjunctiveQuery(tuple(order), query.atoms), db, order)
 
 
-def query_holds(query: ConjunctiveQuery, facts: Iterable[tuple]) -> bool:
-    """Boolean satisfaction over a plain fact collection (rel, values)."""
-    by_rel = {}
-    for rel, values in facts:
-        by_rel.setdefault(rel, []).append(tuple(values))
-    return next(homomorphisms(query.atoms, by_rel), None) is not None
+def _answer_circuit(query: ConjunctiveQuery, db: Database) -> RelCircuit:
+    """Ordered decision circuit of the answers, attributes in head order.
+
+    A free-connex query compiles directly.  Any other query compiles with
+    every variable free; its answers, projected onto the head, are then
+    compiled as the one atom of `Q(head) :- A(head)`, which is free-connex.
+    """
+    if is_free_connex(query):
+        return compile_cq(query, db)
+    head = tuple(dict.fromkeys(query.head))
+    rows = {tuple(t[v] for v in head) for t in enumerate_rel(_compile_full(query, db))}
+    return compile_cq(ConjunctiveQuery(query.head, (('A', head),)),
+                      Database({'A': rows}))
 
 
 def answer_count(query: ConjunctiveQuery, db: Database) -> int:
-    if is_free_connex(query):
-        return count_rel(compile_cq(query, db))
-    return len(_materialize(query, db))
+    return count_rel(_answer_circuit(query, db))
 
 
 def answer_enum(query: ConjunctiveQuery, db: Database) -> Iterator[dict]:
-    """Answers as dicts over the head variables."""
-    if is_free_connex(query):
-        for tup in enumerate_rel(compile_cq(query, db)):
-            yield {v: tup[v] for v in query.head}
-    else:
-        yield from _materialize(query, db)
+    """Answers as dicts over the head variables, in lexicographic order."""
+    for tup in enumerate_rel(_answer_circuit(query, db)):
+        yield {v: tup[v] for v in query.head}
 
 
 def answer_access(query: ConjunctiveQuery, db: Database, index: int) -> dict:
     """The index-th answer (1-based) in the compiled lexicographic order."""
-    if is_free_connex(query):
-        circuit = compile_cq(query, db)
-        tup = direct_access(circuit, index)
-        return {v: tup[v] for v in query.head}
-    answers = _materialize(query, db)
-    if not 1 <= index <= len(answers):
-        raise OutOfRange(f"query has {len(answers)} answers, asked for {index}")
-    return answers[index - 1]
+    tup = direct_access(_answer_circuit(query, db), index)
+    return {v: tup[v] for v in query.head}

@@ -11,8 +11,10 @@ Three representations are built here:
   * a decomposable circuit, extracted from a compiled lifted query where
     every fact carries a fresh identifier (works for any self-join-free
     query, generally not deterministic);
-  * a monotone DNF with one term per homomorphism image (any query; feeds
-    the approximation path and the negated lineage below);
+  * a monotone DNF read off the same compiled lifted query, with every
+    variable free: one term per answer, the facts its identifier
+    attributes name (any query, self-joins and unions included; feeds the
+    approximation path and the negated lineage below);
   * a read-once tree for hierarchical self-join-free queries, turned into
     an ordered decision diagram.
 
@@ -39,12 +41,13 @@ from typing import Optional
 from ._dag import rebuild
 from .circuits import BoolCircuit, CircuitBuilder, DNFFormula
 from .cnf import CNFFormula, compile_dpll
-from .cq import (ConjunctiveQuery, Database, _check_relations, compile_cq,
-                 domain_sort_key, homomorphisms)
+from .cq import (ConjunctiveQuery, Database, _check_relations, _compile_full,
+                 compile_cq, domain_sort_key)
 from .errors import (InputFormatError, NotHierarchical, SelfJoinPresent,
                      TargetExogenous)
 from .queries import (ApproxParams, WeightMap, _fold, approx_count_dnf,
                       model_count, wmc)
+from .relational import enumerate_rel
 
 
 @dataclass(frozen=True)
@@ -195,22 +198,23 @@ def provenance_circuit_sjf(query: ConjunctiveQuery, db: Database) -> BoolCircuit
 def provenance_dnf(queries, db: Database) -> DNFFormula:
     """Monotone DNF with one term per homomorphism image.
 
-    Accepts one query or an iterable of queries (a union); duplicate fact
-    sets collapse to one term.  Every atom must name a relation of the
-    database, with its arity.
+    The lifted query, compiled with every variable free, has one answer
+    per homomorphism; the identifier attributes of an answer name the
+    facts of its term.  Accepts one query or an iterable of queries (a
+    union); duplicate fact sets collapse to one term.  Every atom must
+    name a relation of the database, with its arity.
     """
     if isinstance(queries, ConjunctiveQuery):
         queries = [queries]
-    fact_vars = FactVar(db)
     terms = set()
     for query in queries:
         _check_relations(query, db)
-        for _, used in homomorphisms(query.atoms, db.relations):
-            terms.add(frozenset(fact_vars.var_of[(rel, fact)]
-                                for (rel, _), fact in zip(query.atoms, used)))
+        lifted = lift(query, db)
+        for tup in enumerate_rel(_compile_full(lifted.query, lifted.db)):
+            terms.add(frozenset(tup[v] for v in lifted.id_vars))
     dnf_terms = sorted({frozenset((v, True) for v in t) for t in terms},
                        key=lambda t: sorted(v for v, _ in t))
-    return DNFFormula(len(fact_vars), tuple(dnf_terms))
+    return DNFFormula(len(FactVar(db)), tuple(dnf_terms))
 
 
 def is_hierarchical(query: ConjunctiveQuery) -> bool:

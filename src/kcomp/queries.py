@@ -413,7 +413,8 @@ def approx_count_dnf(dnf: DNFFormula, probs: dict, params: ApproxParams) -> Frac
     to its probability, draw an assignment conditioned on the term, and
     score a success when the drawn term is the first satisfied one.  The
     estimate is the exact term-probability total times the success rate,
-    and is deterministic for a fixed seed.
+    clamped to [largest term probability, 1], and is deterministic for a
+    fixed seed.
     """
     probs = {v: Fraction(p) for v, p in probs.items()}
     for v in range(dnf.num_vars):
@@ -454,4 +455,6 @@ def approx_count_dnf(dnf: DNFFormula, probs: dict, params: ApproxParams) -> Frac
         neg = np.array([var for var, pol in term if not pol], dtype=np.intp)
         sat = bits[:, pos].all(1) & ~bits[:, neg].any(1)
         first = np.where(sat & (first == m), j, first)
-    return total * Fraction(int(np.count_nonzero(first == chosen)), trials)
+    estimate = total * Fraction(int(np.count_nonzero(first == chosen)), trials)
+    # P(DNF) lies between its likeliest term and 1
+    return min(max(estimate, max(term_probs)), Fraction(1))

@@ -314,10 +314,18 @@ def tree_from_json(text: str) -> ProbTree:
                     default=_label_key(default))
 
 
+def _scalar(value, what: str):
+    """A JSON scalar, usable as a dict key; lists and objects are rejected."""
+    if isinstance(value, (list, dict)):
+        raise InputFormatError(f"{what} {json.dumps(value)} is not a scalar")
+    return value
+
+
 def _label_key(label):
+    """A scalar label, or a two-element array as a (base, bit) pair."""
     if isinstance(label, list) and len(label) == 2:
-        return (label[0], label[1])
-    return label
+        return tuple(_scalar(part, "label part") for part in label)
+    return _scalar(label, "label")
 
 
 def automaton_from_json(text: str):
@@ -329,33 +337,38 @@ def automaton_from_json(text: str):
      "nondeterministic": false}
 
     Labels may be two-element arrays for annotated alphabets; transition
-    targets are state lists in the nondeterministic variant.
+    targets are state lists in the nondeterministic variant.  States and
+    label parts must be JSON scalars.
     """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"bad automaton JSON: {exc}") from None
     try:
-        states = tuple(data['states'])
-        accepting = frozenset(data['accepting'])
+        states = tuple(_scalar(q, "state") for q in data['states'])
+        accepting = frozenset(_scalar(q, "accepting state")
+                              for q in data['accepting'])
         nondet = bool(data.get('nondeterministic', False))
         leaf_items = (data['leaf'].items() if isinstance(data['leaf'], dict)
                       else [(row[0], row[1]) for row in data['leaf']])
         internal_rows = data['internal']
     except (KeyError, TypeError, IndexError) as exc:
         raise InputFormatError(f"bad automaton JSON: {exc}") from None
-    if nondet:
-        leaf = {_label_key(l): frozenset(s) for l, s in leaf_items}
-        internal = {}
-        for row in internal_rows:
-            if len(row) != 4:
-                raise InputFormatError("internal rows are [s1, s2, label, targets]")
-            internal[(row[0], row[1], _label_key(row[2]))] = frozenset(row[3])
-        return NondetTreeAutomaton(states, accepting, leaf, internal)
-    leaf = {_label_key(l): s for l, s in leaf_items}
+
+    def target(value):
+        if not nondet:
+            return _scalar(value, "target")
+        if not isinstance(value, list):
+            raise InputFormatError(f"target {json.dumps(value)} is not a list")
+        return frozenset(_scalar(q, "target") for q in value)
+
+    leaf = {_label_key(l): target(s) for l, s in leaf_items}
     internal = {}
     for row in internal_rows:
-        if len(row) != 4:
+        if not isinstance(row, list) or len(row) != 4:
             raise InputFormatError("internal rows are [s1, s2, label, target]")
-        internal[(row[0], row[1], _label_key(row[2]))] = row[3]
+        internal[(_scalar(row[0], "state"), _scalar(row[1], "state"),
+                  _label_key(row[2]))] = target(row[3])
+    if nondet:
+        return NondetTreeAutomaton(states, accepting, leaf, internal)
     return TreeAutomaton(states, accepting, leaf, internal)

@@ -15,14 +15,19 @@ the package's older per-node frozensets of variables, which its variable
 masks must decode to.  `cardinality_by_convolution`, `RATIONAL_GENERIC` and
 `best_valuation_generic` keep the package's older exact folds, over lists
 of coefficients and over Fractions, which its integer folds must match.
+`check_determinism_semantic`, `verify_equivalence` and `structurally_equal`
+are exhaustive checkers over 2^n valuations or whole node lists that no
+library path calls.
 """
 
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial
+from typing import Optional
 
-from kcomp._dag import branch_values
+from kcomp._dag import branch_values, truth_values
 from kcomp.queries import (Semiring, _descend, _fold, _max_or_none,
                            _times_or_none, _weighted_fold)
 
@@ -72,6 +77,43 @@ def truth_table(circuit):
                 acc |= vals[c]
             vals.append(acc)
     return vals[circuit.output]
+
+
+def structurally_equal(a, b):
+    """Same node list, output and universe."""
+    return (a.nodes == b.nodes and a.output == b.output
+            and a.universe == b.universe)
+
+
+@dataclass
+class DeterminismVerdict:
+    status: str                      # 'deterministic' | 'notDeterministic' | 'unknown'
+    witness: Optional[dict] = None
+
+
+def check_determinism_semantic(circuit, max_vars=20):
+    """Brute-force determinism check; 'unknown' above the variable cap.
+
+    Valuations are scanned in lexicographic order (smallest variable is the
+    most significant bit); the first valuation satisfying two children of
+    one OR gate is returned as the witness.
+    """
+    svars = circuit.sorted_vars()
+    n = len(svars)
+    if n > max_vars:
+        return DeterminismVerdict('unknown')
+    or_gates = [(nid, rec[1]) for nid, rec in enumerate(circuit.nodes)
+                if rec[0] == 'O' and len(rec[1]) > 1]
+    if not or_gates:
+        return DeterminismVerdict('deterministic')
+    for m in range(1 << n):
+        val = {svars[j]: (m >> (n - 1 - j)) & 1 for j in range(n)}
+        vals = truth_values(circuit.nodes,
+                            lambda var, positive: val[var] == positive)
+        for nid, kids in or_gates:
+            if sum(vals[c] for c in kids) >= 2:
+                return DeterminismVerdict('notDeterministic', val)
+    return DeterminismVerdict('deterministic')
 
 
 def bit_to_valuation(bit_index, svars):
@@ -344,6 +386,26 @@ def cnf_models(num_vars, clauses):
         if ok:
             out.add(format(b, f'0{num_vars}b') if num_vars else '')
     return out
+
+
+@dataclass
+class EquivalenceVerdict:
+    status: str                      # 'equivalent' | 'differs' | 'unknown'
+    witness: Optional[dict] = None
+
+
+def verify_equivalence(formula, circuit, max_vars=16):
+    """Exhaustive formula/circuit comparison, capped by variable count."""
+    n = formula.num_vars
+    if n > max_vars:
+        return EquivalenceVerdict('unknown')
+    for m in range(1 << n):
+        val = {j: (m >> (n - 1 - j)) & 1 for j in range(n)}
+        f_val = all(any((val[abs(lit) - 1] == 1) == (lit > 0) for lit in c)
+                    for c in formula.clauses)
+        if int(f_val) != circuit.evaluate(val):
+            return EquivalenceVerdict('differs', val)
+    return EquivalenceVerdict('equivalent')
 
 
 def clause_components(clauses):

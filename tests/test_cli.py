@@ -217,6 +217,42 @@ def test_tree_commands(tmp_path, capsys):
     assert sorted(out.split()) == ['001', '010', '100']
 
 
+@pytest.mark.parametrize('command', ['tree-pqe', 'tree-enum'])
+@pytest.mark.parametrize('automaton', [
+    {"states": [0, {"a": 1}], "accepting": [1], "leaf": {"a": 1}, "internal": []},
+    {"states": [0, 1], "accepting": [[1]], "leaf": {"a": 1}, "internal": []},
+    {"states": [0, 1], "accepting": [1], "leaf": {"a": {"s": 1}}, "internal": []},
+    {"states": [0, 1], "accepting": [1], "leaf": {"a": 1},
+     "internal": [[0, [1], "a", 1]]},
+    {"states": [0, 1], "accepting": [1], "leaf": [[{"a": 0}, 1]], "internal": []},
+    {"states": [0, 1], "accepting": [1], "leaf": {"a": [[1]]}, "internal": [],
+     "nondeterministic": True},
+    {"states": [0, 1], "accepting": [1], "leaf": {"a": 1}, "internal": [],
+     "nondeterministic": True}])
+def test_automaton_states_and_targets_must_be_scalars(tmp_path, capsys, command,
+                                                      automaton):
+    tree = tmp_path / "t.json"
+    tree.write_text(json.dumps({"label": "a", "prob": "1/2"}))
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(automaton))
+    code, out, err = run_cli(capsys, command, '--tree', str(tree),
+                             '--automaton', str(path))
+    assert code == 2 and out == ''
+    assert err.startswith('error: ') and err.count('\n') == 1, err
+    assert 'Traceback' not in err
+
+
+def test_approx_dnf_estimate_at_most_one(tmp_path, capsys):
+    # 35 disjoint two-literal terms: the term probabilities add up to 8.75
+    # while P(DNF) = 1 - (3/4)^35 is just below 1
+    dnf = tmp_path / "wide.dnf"
+    dnf.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 70, 2)))
+    code, out, _ = run_cli(capsys, 'approx-dnf', '--dnf', str(dnf),
+                           '--seed', '1', '--p', '1/2')
+    assert code == 0
+    assert Fraction(1, 4) <= Fraction(out.strip()) <= 1
+
+
 def test_malformed_inputs_exit_2(tmp_path, toy_files, capsys):
     bad_cnf = tmp_path / "bad.cnf"
     bad_cnf.write_text("p cnf 2 3\n1 0\n")

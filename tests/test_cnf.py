@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from kcomp.circuits import classify, smooth
-from kcomp.cnf import (CNFFormula, compile_dpll, parse_dimacs,
-                       verify_equivalence, HEURISTICS, _components)
+from kcomp.cnf import (CNFFormula, compile_dpll, parse_dimacs, HEURISTICS,
+                       _components)
 from kcomp.cq import Database, parse_cq
 from kcomp.errors import (ClauseCountMismatch, LiteralOutOfRange,
                           MalformedHeader)
@@ -16,7 +16,8 @@ from kcomp.nnf_io import write_nnf
 from kcomp.provenance import TID, pqe
 from kcomp.queries import model_count
 
-from oracles import clause_components, cnf_models, models_of
+from oracles import (clause_components, cnf_models, models_of,
+                     verify_equivalence)
 
 
 def random_cnf(rng, num_vars, num_clauses):

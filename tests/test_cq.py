@@ -4,10 +4,10 @@ import warnings
 import pytest
 
 from kcomp import cq as cq_module
-from kcomp.cq import (ConjunctiveQuery, Database, _materialize, answer_access,
-                      answer_count, answer_enum, compile_cq, elimination_order,
-                      is_acyclic, is_free_connex, join_tree, parse_cq,
-                      query_holds)
+from kcomp.cq import (ConjunctiveQuery, Database, answer_access, answer_count,
+                      answer_enum, compile_cq, domain_sort_key,
+                      elimination_order, is_acyclic, is_free_connex, join_tree,
+                      parse_cq)
 from kcomp.errors import (ArityMismatch, NotFreeConnex, OrderMissingVariables,
                           OutOfRange, QuerySyntaxError, UnboundHeadVariable,
                           UnknownRelation)
@@ -164,24 +164,6 @@ def test_compile_repeated_variable_in_atom():
     assert {t['x'] for t in enumerate_rel(c)} == {'a', 'b'}
 
 
-def test_compile_cache_on_off_same_relation():
-    q = parse_cq("Q(x, y) :- R(x, y), S(y, z).")
-    rng = random.Random(0)
-    facts = [('R', (str(rng.randint(0, 5)), str(rng.randint(0, 5))))
-             for _ in range(20)]
-    facts += [('S', (str(rng.randint(0, 5)), str(rng.randint(0, 3))))
-              for _ in range(10)]
-    db = Database({})
-    rels = {}
-    for rel, t in facts:
-        rels.setdefault(rel, set()).add(t)
-    db = Database(rels)
-    with_reduce = compile_cq(q, db, reduce_first=True)
-    without = compile_cq(q, db, reduce_first=False)
-    rows = lambda c: {tuple(sorted(t.items())) for t in enumerate_rel(c)}
-    assert rows(with_reduce) == rows(without)
-
-
 def test_compile_non_free_connex_warns_but_correct():
     q = parse_cq("Q(x, z) :- R(x, y), S(y, z).")
     db = db_from([('R', 'ab'), ('R', 'cb'), ('S', 'bd'), ('S', 'be')])
@@ -260,8 +242,44 @@ def test_answer_access_full_scan_matches_sorted_oracle():
 
 def test_query_holds():
     q = parse_cq("Q() :- R(x), S(x, y).")
-    assert query_holds(q, [('R', ('a',)), ('S', ('a', 'b'))])
-    assert not query_holds(q, [('R', ('a',)), ('S', ('c', 'b'))])
+    assert answer_count(q, db_from([('R', 'a'), ('S', 'ab')])) == 1
+    assert answer_count(q, db_from([('R', 'a'), ('S', 'cb')])) == 0
+
+
+NOT_FREE_CONNEX = (
+    "Q(x, z) :- R(x, y), S(y, z).",
+    "Q(z, x) :- R(x, y), S(y, z).",
+    "Q(x, y, z) :- R(x, y), S(y, z), T(z, x).",
+    "Q(x) :- R(x, y), S(y, z), T(z, x).",
+    "Q() :- R(x, y), S(y, z), T(z, x).",
+    "Q(x, z, x) :- R(x, y), S(y, z).",
+    "Q(y, y) :- R(x, y), S(y, z), T(z, x).",
+    "Q(x, z) :- R(x, y), R(y, z).",
+)
+
+
+@pytest.mark.parametrize("text", NOT_FREE_CONNEX)
+def test_answers_not_free_connex_match_oracle_in_order(text):
+    q = parse_cq(text)
+    assert not is_free_connex(q)
+    rng = random.Random(text)
+    for size in (0, 3, 8, 20):
+        rels = {rel: {(rng.randrange(5), rng.randrange(5)) for _ in range(size)}
+                for rel in 'RST'}
+        db = Database(rels)
+        expect = sorted_answers(q, db)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert answer_count(q, db) == len(expect)
+            got = [tuple(a[v] for v in q.head) for a in answer_enum(q, db)]
+            assert got == expect
+            for i in range(1, len(expect) + 1):
+                assert tuple(answer_access(q, db, i)[v] for v in q.head) == expect[i - 1]
+        with pytest.raises(OutOfRange):
+            answer_access(q, db, len(expect) + 1)
+    # disjoint join keys: no answer at all
+    db = Database({'R': {(0, 1)}, 'S': {(2, 3)}, 'T': {(3, 0)}})
+    assert answer_count(q, db) == 0 and list(answer_enum(q, db)) == []
 
 
 def test_compile_size_linear_for_path_query():
@@ -288,21 +306,6 @@ def test_database_tsv_round_trip():
     assert db.active_domain == ['a', 'b', 'c']
     with pytest.raises(QuerySyntaxError):
         Database.from_tsv("justonefield\n")
-
-
-def test_compile_cache_toggle_equivalent():
-    rng = random.Random(14)
-    q = parse_cq("Q(x) :- R(x, y), S(y, z).")
-    for _ in range(5):
-        rels = {'R': set(), 'S': set()}
-        for _ in range(15):
-            rels['R'].add((str(rng.randint(0, 4)), str(rng.randint(0, 4))))
-            rels['S'].add((str(rng.randint(0, 4)), str(rng.randint(0, 3))))
-        db = Database(rels)
-        cached = compile_cq(q, db, use_cache=True)
-        plain = compile_cq(q, db, use_cache=False)
-        rows = lambda c: {tuple(sorted(t.items())) for t in enumerate_rel(c)}
-        assert rows(cached) == rows(plain)
 
 
 def test_compiled_circuits_always_certify():
@@ -347,10 +350,16 @@ def test_elimination_order_gives_small_circuits():
 
 # -- branch intersection and rank-encoded keys --------------------------------------------
 
-def assert_matches_materialize(q, db, **options):
+def sorted_answers(q, db):
+    """The backtracking join's answers, in lexicographic head order."""
+    return sorted(join_answers(q.head, q.atoms, db.relations),
+                  key=lambda t: tuple(domain_sort_key(v) for v in t))
+
+
+def assert_matches_oracle(q, db, order=None):
     """Count, enumeration order and every rank agree with the backtracking join."""
-    c = compile_cq(q, db, **options)
-    expect = [tuple(a[v] for v in q.head) for a in _materialize(q, db)]
+    c = compile_cq(q, db, order)
+    expect = sorted_answers(q, db)
     assert count_rel(c) == len(expect)
     assert [tuple(t[v] for v in q.head) for t in enumerate_rel(c)] == expect
     for i in range(1, len(expect) + 1):
@@ -360,7 +369,7 @@ def assert_matches_materialize(q, db, **options):
 
 def test_compile_mixed_type_values_match_materialize():
     db = Database({'R': {(1, 'a'), ('b', 'a')}, 'S': {('a', 1)}})
-    c = assert_matches_materialize(parse_cq("Q(x, y, z) :- R(x, y), S(y, z)."), db)
+    c = assert_matches_oracle(parse_cq("Q(x, y, z) :- R(x, y), S(y, z)."), db)
     assert c.domains[0] == (1, 'b')
     rng = random.Random(8)
     pool = [0, 1, 2, 10, 'a', 'b', '10', 2.5]
@@ -370,15 +379,33 @@ def test_compile_mixed_type_values_match_materialize():
         db = Database(rels)
         for text in ("Q(x, y, z) :- R(x, y), S(y, z).",
                      "Q(x, y) :- R(x, y), S(y, z), T(y, w).",
-                     "Q(y) :- R(x, y), S(y, y)."):
-            for use_cache in (True, False):
-                assert_matches_materialize(parse_cq(text), db, use_cache=use_cache)
+                     "Q(y) :- R(x, y), S(y, y).",
+                     "Q(x, y) :- R(x, y), S(y, z), T(z, x)."):
+            assert_matches_oracle_in_order(text, db, 'derived')
 
 
-# both cache settings, with and without the semijoin reduction, which
-# otherwise equalises the key sets of the atoms before any seek can miss
-COMPILE_OPTIONS = [{'use_cache': u, 'reduce_first': r}
-                   for u in (True, False) for r in (True, False)]
+def assert_matches_oracle_in_order(text, db, existentials):
+    """`assert_matches_oracle` on the compile order made of the head, then
+    the existential variables in the derived order (first appearance when
+    the query is not free-connex), or by first appearance, reversed or
+    rotated by one."""
+    q = parse_cq(text)
+    if existentials == 'derived' and is_free_connex(q):
+        return assert_matches_oracle(q, db, elimination_order(q))
+    rest = q.existential_variables()
+    if existentials == 'reversed':
+        rest = rest[::-1]
+    elif existentials == 'rotated':
+        rest = rest[1:] + rest[:1]
+    return assert_matches_oracle(q, db, list(dict.fromkeys(q.head)) + rest)
+
+
+# the orders move which atom decides each variable first and which slice is
+# narrowest.  On acyclic queries the semijoin reduction equalises the key
+# sets of the atoms before any seek can miss; the cyclic queries, which
+# skip it, are the ones whose seeks miss
+COMPILE_OPTIONS = [{'existentials': e}
+                   for e in ('derived', 'appearance', 'reversed', 'rotated')]
 
 
 @pytest.mark.parametrize("options", COMPILE_OPTIONS)
@@ -391,8 +418,9 @@ def test_intersection_three_atoms_narrowest_not_first(options):
             'T': {(y, 0) for y in range(0, 60, 7)}}
     db = Database(rels)
     for text in ("Q(y) :- R(x, y), S(y, z), T(y, w).",
-                 "Q(x, y) :- R(x, y), S(y, z), T(y, w)."):
-        assert_matches_materialize(parse_cq(text), db, **options)
+                 "Q(x, y) :- R(x, y), S(y, z), T(y, w).",
+                 "Q(y) :- R(x, y), S(y, z), T(z, w), R(w, x)."):
+        assert_matches_oracle_in_order(text, db, **options)
 
 
 @pytest.mark.parametrize("options", COMPILE_OPTIONS)
@@ -407,22 +435,28 @@ def test_intersection_random_slices(options):
         db = Database(rels)
         for text in ("Q(y) :- R(x, y), S(y, z), T(y, w).",
                      "Q(x, y) :- R(x, y), S(y, z), T(y, w).",
-                     "Q(y, z) :- R(y, z), S(y, z), T(y, z)."):
-            assert_matches_materialize(parse_cq(text), db, **options)
+                     "Q(y, z) :- R(y, z), S(y, z), T(y, z).",
+                     "Q(x) :- R(x, y), S(y, z), T(x, z).",
+                     "Q() :- R(x, y), S(z, y), T(x, z)."):
+            assert_matches_oracle_in_order(text, db, **options)
 
 
 @pytest.mark.parametrize("options", COMPILE_OPTIONS)
 def test_intersection_empty(options):
-    q = parse_cq("Q(x, y) :- R(x, y), S(y, z), T(y, w).")
-    # interleaved but disjoint join keys: every seek misses
+    # interleaved but disjoint join keys: every seek on y misses.  The
+    # acyclic query is emptied by the semijoin reduction, the cyclic one
+    # by the seeks of the intersection
     db = Database({'R': {(x, y) for x in range(3) for y in range(0, 40, 2)},
                    'S': {(y, 0) for y in range(1, 40, 2)},
                    'T': {(y, 0) for y in range(40)}})
-    assert count_rel(assert_matches_materialize(q, db, **options)) == 0
+    for text in ("Q(x, y) :- R(x, y), S(y, z), T(y, w).",
+                 "Q(x, y) :- R(x, y), S(y, z), T(z, x)."):
+        assert count_rel(assert_matches_oracle_in_order(text, db, **options)) == 0
     # each pair of atoms meets, the three never do
     db = Database({'R': {(0, y) for y in (1, 2)}, 'S': {(y, 0) for y in (2, 3)},
                    'T': {(y, 0) for y in (1, 3)}})
-    assert count_rel(assert_matches_materialize(q, db, **options)) == 0
+    text = "Q(x, y) :- R(x, y), S(y, z), T(y, w)."
+    assert count_rel(assert_matches_oracle_in_order(text, db, **options)) == 0
 
 
 @pytest.mark.parametrize("options", COMPILE_OPTIONS)
@@ -432,13 +466,16 @@ def test_intersection_repeated_variable(options):
                    'S': {(a, a + 1) for a in range(0, 6, 2)} | {(3, 3)}})
     for text in ("Q(x) :- R(x, x).",
                  "Q(x, y) :- R(x, x), S(x, y).",
-                 "Q(x) :- S(x, y), R(y, y)."):
-        assert_matches_materialize(parse_cq(text), db, **options)
+                 "Q(x) :- S(x, y), R(y, y).",
+                 "Q(x) :- R(x, y), S(y, z), R(z, x)."):
+        assert_matches_oracle_in_order(text, db, **options)
 
 
-@pytest.mark.parametrize("use_cache", [True, False])
-def test_boolean_exists_stops_at_first_witness(use_cache, monkeypatch):
+@pytest.mark.parametrize("reverse", [True, False])
+def test_boolean_exists_stops_at_first_witness(reverse, monkeypatch):
+    # whichever end of the path the existential test branches on first
     q = parse_cq("Q() :- R(x, y), S(y, z).")
+    order = ['z', 'y', 'x'] if reverse else None
     db = Database({'R': {(x, 'k') for x in range(2000)},
                    'S': {('k', z) for z in range(2000)}})
     seeks = []
@@ -449,8 +486,8 @@ def test_boolean_exists_stops_at_first_witness(use_cache, monkeypatch):
         return upper(*args)
 
     monkeypatch.setattr(cq_module, '_upper_bound', counting_upper_bound)
-    c = compile_cq(q, db, use_cache=use_cache)
+    c = compile_cq(q, db, order)
     assert count_rel(c) == 1
     assert len(seeks) < 10
     db = Database({'R': db.relations['R'], 'S': {('j', z) for z in range(2000)}})
-    assert count_rel(compile_cq(q, db, use_cache=use_cache)) == 0
+    assert count_rel(compile_cq(q, db, order)) == 0

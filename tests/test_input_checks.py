@@ -5,7 +5,7 @@ exit 2), or an unknown relation (a domain error, CLI exit 1)."""
 import pytest
 
 from kcomp.cli import main
-from kcomp.cq import Database, _materialize, compile_cq, parse_cq
+from kcomp.cq import Database, answer_count, answer_enum, compile_cq, parse_cq
 from kcomp.errors import ArityMismatch, InputFormatError, UnknownRelation
 from kcomp.nnf_io import read_nnf
 from kcomp.provenance import provenance_dnf, provenance_read_once
@@ -56,12 +56,12 @@ def test_atom_arity_must_match_the_relation(text):
     with pytest.raises(ArityMismatch):
         compile_cq(query, Database(DB))
     with pytest.raises(ArityMismatch):
-        _materialize(query, Database(DB))
+        answer_count(query, Database(DB))
 
 
 def test_relation_without_facts_takes_any_arity():
     query = parse_cq("Q(x) :- R(x, y), T(y, z, w).")
-    assert _materialize(query, Database(DB)) == []
+    assert list(answer_enum(query, Database(DB))) == []
     assert compile_cq(query, Database(DB)).size == 0
 
 

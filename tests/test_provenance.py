@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,8 @@ from kcomp.provenance import (TID, FactVar, _shapley_by_derivative,
                               shapley, shapley_all, uniform_reliability)
 from kcomp.queries import ApproxParams, WeightMap, model_count, wmc
 
-from oracles import (dnf_probability, models_of, query_true_on,
-                     shapley_by_conditioning, shapley_direct)
+from oracles import (dnf_probability, models_of, provenance_sets,
+                     query_true_on, shapley_by_conditioning, shapley_direct)
 
 
 def toy_db():
@@ -194,6 +195,68 @@ def test_provenance_dnf_union_of_queries():
     q2 = parse_cq("Q() :- S(x).")
     dnf = provenance_dnf([q1, q2], db)
     assert len(dnf.terms) == 2
+
+
+def dnf_holding_sets(dnf, facts):
+    """Subsets of the facts, as frozensets, on which some term holds."""
+    terms = [frozenset(facts[v] for v, _ in term) for term in dnf.terms]
+    subsets = (frozenset(f for j, f in enumerate(facts) if (mask >> j) & 1)
+               for mask in range(1 << len(facts)))
+    return {sub for sub in subsets if any(t <= sub for t in terms)}
+
+
+PROVENANCE_CASES = (
+    ("Q() :- R(x, y), R(y, z).",),
+    ("Q() :- R(x, y), R(y, x).",),
+    ("Q(x) :- R(x, x), R(x, y).",),
+    ("Q() :- R(x, y), S(y, z), T(z, x).",),
+    ("Q(x, z) :- R(x, y), S(y, z), T(z, x).",),
+    ("Q() :- R(x, y), S(y, z).", "Q() :- T(x, x).", "Q() :- R(x, y), R(y, x)."),
+    ("Q() :- R(x, y), U(y).",),
+)
+
+
+@pytest.mark.parametrize("texts", PROVENANCE_CASES)
+def test_provenance_dnf_against_provenance_sets(texts):
+    queries = [parse_cq(text) for text in texts]
+    rng = random.Random(" ".join(texts))
+    for size in (1, 3, 4):
+        rels = {rel: {(rng.choice('abc'), rng.choice('abc')) for _ in range(size)}
+                for rel in 'RST'}
+        rels['U'] = set()
+        db = Database(rels)
+        facts = db.facts()
+        expect = set().union(*(provenance_sets(q.head, q.atoms, facts)
+                               for q in queries))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dnf = provenance_dnf(queries, db)
+        assert dnf.num_vars == len(facts)
+        assert dnf_holding_sets(dnf, facts) == expect
+        # one term per homomorphism image, and no other
+        images = {frozenset(t) for t in expect
+                  if not any(frozenset(t) - {f} in expect for f in t)}
+        assert images <= {frozenset(facts[v] for v, _ in t) for t in dnf.terms}
+
+
+def test_provenance_dnf_on_tids_with_exogenous_facts():
+    # exogenous facts are variables of the DNF like any other: conditioned
+    # on all of them, it holds on the endogenous subsets where the query
+    # holds together with the exogenous facts
+    rng = random.Random(73)
+    for text in LINEAGE_SHAPES:
+        q = parse_cq(text)
+        for _ in range(3):
+            tid = random_lineage_tid(q, rng, 10)
+            facts = tid.db.facts()
+            exo = frozenset(tid.exogenous())
+            sets = dnf_holding_sets(provenance_dnf(q, tid.db), facts)
+            assert sets == provenance_sets(q.head, q.atoms, facts)
+            endo = tid.endogenous()
+            for mask in range(1 << len(endo)):
+                sub = [f for j, f in enumerate(endo) if (mask >> j) & 1]
+                assert ((exo | frozenset(sub)) in sets) == \
+                    query_true_on(q.head, q.atoms, sorted(exo) + sub)
 
 
 # -- hierarchy test ------------------------------------------------------------------------
@@ -607,6 +670,22 @@ def test_lineage_route_on_a_400_fact_block_tid():
     values = shapley_all(q, tid)
     base = query_true_on(q.head, q.atoms, tid.exogenous())
     assert sum(values.values()) == 1 - base
+
+
+def test_provenance_dnf_on_a_ten_thousand_fact_block_tid():
+    # the lineage of R(x), S(x, y), T(y) has one term per S edge
+    tid, blocks = block_tid(random.Random(79), 1340)
+    facts = tid.db.facts()
+    assert 9800 <= len(facts) <= 10_200
+    fv = FactVar(tid.db)
+    expect = {frozenset({fv.var_of[('R', (x,))], fv.var_of[('S', (x, y))],
+                         fv.var_of[('T', (y,))]})
+              for block in blocks for rel, (x, *rest) in block if rel == 'S'
+              for y in rest}
+    dnf = provenance_dnf(parse_cq("Q() :- R(x), S(x, y), T(y)."), tid.db)
+    assert dnf.num_vars == len(facts)
+    assert {frozenset(v for v, _ in t) for t in dnf.terms} == expect
+    assert all(pol for t in dnf.terms for _, pol in t)
 
 
 # -- TID parsing ---------------------------------------------------------------------------------

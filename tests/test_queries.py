@@ -405,6 +405,22 @@ def test_karp_luby_acceptance_band_statistics():
     assert hits >= 100 * (1 - Fraction(1, 3)) - 10
 
 
+def test_karp_luby_estimate_clamped_to_likeliest_term_and_one():
+    # disjoint terms whose probabilities add up past 1: the total times the
+    # success rate can overshoot 1, and no estimate may fall below a term
+    terms = [[(2 * i, True), (2 * i + 1, True)] for i in range(35)]
+    dnf = DNFFormula.from_literal_lists(70, terms)
+    probs = {v: Fraction(1, 2) for v in range(70)}
+    for seed in range(1, 6):
+        est = approx_count_dnf(dnf, probs, ApproxParams(0.1, Fraction(1, 3), seed))
+        assert Fraction(1, 4) <= est <= 1
+    dnf = DNFFormula.from_literal_lists(4, [[(0, True), (1, True)], [(2, True)]])
+    probs = {0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(9, 10), 3: Fraction(1, 2)}
+    for seed in range(5):
+        est = approx_count_dnf(dnf, probs, ApproxParams(0.5, 0.5, seed))
+        assert Fraction(9, 10) <= est <= 1
+
+
 def test_dnf_rejects_contradictory_term():
     with pytest.raises(ValueError):
         DNFFormula.from_literal_lists(1, [[(0, True), (0, False)]])
