@@ -39,9 +39,14 @@ PartialValuation = dict
 
 
 class VTree:
-    """Full binary tree whose leaves are in bijection with a variable set."""
+    """Full binary tree whose leaves are in bijection with a variable set.
 
-    __slots__ = ('var', 'left', 'right', 'vars')
+    vars is the set of the variables below a node.  Nodes made by leaf and
+    internal hold it from the start; the spine of a right_linear caterpillar
+    gathers it on its first read and keeps it, so building one is linear.
+    """
+
+    __slots__ = ('var', 'left', 'right', '_vars')
 
     def __init__(self, var=None, left: 'VTree | None' = None,
                  right: 'VTree | None' = None):
@@ -51,11 +56,25 @@ class VTree:
         self.left = left
         self.right = right
         if left is None:
-            self.vars = frozenset((var,))
+            self._vars = frozenset((var,))
         else:
             if left.vars & right.vars:
                 raise ValueError("vtree leaves must not repeat variables")
-            self.vars = left.vars | right.vars
+            self._vars = left.vars | right.vars
+
+    @property
+    def vars(self) -> frozenset:
+        if self._vars is None:
+            found = []
+            stack = [self]
+            while stack:
+                node = stack.pop()
+                if node._vars is None:
+                    stack += (node.left, node.right)
+                else:
+                    found += node._vars
+            self._vars = frozenset(found)
+        return self._vars
 
     @staticmethod
     def leaf(var: int) -> 'VTree':
@@ -67,13 +86,19 @@ class VTree:
 
     @staticmethod
     def right_linear(order: Iterable[int]) -> 'VTree':
-        """Caterpillar vtree: x1, then x2, ... along the given order."""
+        """Caterpillar vtree: x1, then x2, ... along the given order.  The
+        leaves are checked distinct once, so the spine needs no per-node
+        overlap test."""
         order = list(order)
         if not order:
             raise ValueError("empty variable order")
+        if len(set(order)) != len(order):
+            raise ValueError("vtree leaves must not repeat variables")
         node = VTree.leaf(order[-1])
         for v in reversed(order[:-1]):
-            node = VTree.internal(VTree.leaf(v), node)
+            spine = object.__new__(VTree)
+            spine.var, spine.left, spine.right, spine._vars = None, VTree.leaf(v), node, None
+            node = spine
         return node
 
     def is_leaf(self) -> bool:

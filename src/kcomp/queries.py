@@ -143,6 +143,8 @@ def _weighted_fold(circuit: BoolCircuit, weights: WeightMap, one, zero,
                        times).pieces
 
     def pad(value, gate, child):
+        if value == zero:               # zero times anything is zero
+            return value
         for piece in pieces(gate & ~child):
             value = times(value, piece)
         return value

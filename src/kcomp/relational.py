@@ -23,11 +23,13 @@ pairwise distinct; decisions certify disjointness syntactically.  A circuit
 is ordered when each decision on an attribute only has continuation
 attributes that come later in the circuit's attribute list; ordered
 circuits support counting, enumeration, and lexicographic direct access.
+Direct access builds one index per circuit, linear in the circuit for
+compiled queries, then answers each rank in one pass over the attributes,
+with one bisect per decision gate.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from bisect import bisect_right
@@ -90,13 +92,16 @@ class RelClassReport(_LazyWitness):
     """Syntactic flags of a relational circuit.  ordered_witness is the
     attribute order of an ordered circuit; structured_witness, a vtree over
     attribute indexes that every join split fits, comes from a greedy
-    search that runs on its first read and is cached in the report."""
+    search that runs on its first read and is cached in the report.
+    _decisions maps each decision gate to the attribute it decides, which
+    direct access builds its plan from."""
     decomposable: bool
     smooth_union: bool
     decision_only: bool
     ordered_witness: Optional[tuple] = None
     _witness: Optional[object] = field(default=None, repr=False, compare=False)
     _search: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _decisions: Optional[dict] = field(default=None, repr=False, compare=False)
 
 
 class RelBuilder(Builder):
@@ -182,8 +187,8 @@ def eval_rel(circuit: RelCircuit, tup: dict) -> bool:
 
 # -- classification ----------------------------------------------------------------
 
-def _decision_branches(circuit: RelCircuit, nid: int) -> Optional[tuple]:
-    """Decompose a decision-shaped union into (attr, [(value_idx, cont)]).
+def decision_attr(circuit: RelCircuit, nid: int) -> Optional[int]:
+    """Attribute tested by a decision-shaped union, else None.
 
     Each child must be a binary join of an input on one common attribute
     and a continuation not mentioning it, with pairwise distinct values.
@@ -202,7 +207,7 @@ def _decision_branches(circuit: RelCircuit, nid: int) -> Optional[tuple]:
             other = crec[1][0] if inp == crec[1][1] else crec[1][1]
             irec = circuit.nodes[inp]
             if irec[0] == 'I' and not attrsets[other] >> irec[1] & 1:
-                cands.setdefault(irec[1], (irec[2], other))
+                cands.setdefault(irec[1], irec[2])
         if not cands:
             return None
         options.append(cands)
@@ -210,16 +215,10 @@ def _decision_branches(circuit: RelCircuit, nid: int) -> Optional[tuple]:
     for cands in options[1:]:
         shared &= set(cands)
     for attr in sorted(shared):
-        values = [cands[attr][0] for cands in options]
+        values = [cands[attr] for cands in options]
         if len(set(values)) == len(values):
-            return attr, [(cands[attr][0], cands[attr][1]) for cands in options]
+            return attr
     return None
-
-
-def decision_attr(circuit: RelCircuit, nid: int) -> Optional[int]:
-    """Attribute tested by a decision-shaped union, else None."""
-    parsed = _decision_branches(circuit, nid)
-    return None if parsed is None else parsed[0]
 
 
 def classify_rel(circuit: RelCircuit) -> RelClassReport:
@@ -232,13 +231,16 @@ def classify_rel(circuit: RelCircuit) -> RelClassReport:
     decomposable, smooth_union = split_flags(circuit.nodes, attrsets)
     decision_only = True
     in_order = True        # every decision tests its gate's first attribute
+    decisions = {}
     for nid, rec in enumerate(circuit.nodes):
         if rec[0] == 'U':
             attr = decision_attr(circuit, nid)
             if attr is None:
                 decision_only = False
-            elif attrsets[nid] & -attrsets[nid] != 1 << attr:
-                in_order = False
+            else:
+                decisions[nid] = attr
+                if attrsets[nid] & -attrsets[nid] != 1 << attr:
+                    in_order = False
 
     ordered = None
     if decision_only and decomposable and in_order:
@@ -250,7 +252,7 @@ def classify_rel(circuit: RelCircuit) -> RelClassReport:
         search = (frozenset(range(n)), circuit.nodes, attrsets, 'J', range(n))
 
     report = RelClassReport(decomposable, smooth_union, decision_only,
-                            ordered, _search=search)
+                            ordered, _search=search, _decisions=decisions)
     circuit._report = report
     return report
 
@@ -313,120 +315,135 @@ def enumerate_rel(circuit: RelCircuit, assume_disjoint: bool = False) -> Iterato
 
 # -- lexicographic direct access -----------------------------------------------------
 
-class _AccessIndex:
-    """Per-decision-gate branch tables for rank arithmetic.
+def _access_plan(circuit: RelCircuit) -> tuple:
+    """(start slots, |rel|) for direct access, built once and cached.
 
-    For each decision gate: its attribute, and branches sorted by value
-    index, each with its continuation, the extension attributes it leaves
-    free, and its local tuple count; zero-count branches are dropped.
-    Prefix sums support a binary search per accessed attribute.  outside
-    holds the attributes the output misses.
+    A slot item is (1, values) for an extension attribute free over its
+    extended domain; (2, prefix, rows) for a decision gate, whose rows are
+    its nonzero branches by value index, each (value, local count,
+    entries), with prefix the running sums of the local counts; or (0,
+    value, entries) for a fixed value: an input (no entries), an extension
+    attribute of one value (the default, in zero-suppressed mode) or a
+    decision gate with one nonzero branch, which leaves the rank as it is.
+    Entries are the (attribute, item) pairs of the continuation's join
+    leaves, flattened once per continuation through its joins, plus the
+    extension attributes the branch leaves free.  The start slots hold, per
+    attribute, the output's join leaves and the attributes the output
+    misses.  The build takes one pass over the decision gates and flattens
+    each continuation once: linear in the circuit unless continuations
+    share joins or branches leave many attributes free, which compiled
+    queries do not.
     """
-
-    def __init__(self, circuit: RelCircuit):
-        counts = _gate_counts(circuit)[0]
-        pad = _extension_pad(circuit)
-        attrsets = circuit.attrsets()
-        every = range(len(circuit.attrs))
-        self.outside = members(circuit.full_mask & ~attrsets[circuit.output], every)
-        self.branches = {}
-        for nid, rec in enumerate(circuit.nodes):
-            if rec[0] != 'U':
-                continue
-            parsed = _decision_branches(circuit, nid)
-            if parsed is None:
-                raise NotOrdered("direct access needs decision-shaped unions")
-            attr, pairs = parsed
-            gate_attrs = attrsets[nid] & ~(1 << attr)
-            rows = []
-            for vi, cont in pairs:
-                ext = members(gate_attrs & ~attrsets[cont], every)
-                local = pad(counts[cont], gate_attrs, attrsets[cont])
-                if local:
-                    rows.append((vi, cont, tuple(ext), local))
-            rows.sort()
-            prefix = [0]
-            for row in rows:
-                prefix.append(prefix[-1] + row[3])
-            self.branches[nid] = (attr, rows, prefix)
-
-
-def _prepare_access(circuit: RelCircuit) -> _AccessIndex:
     if circuit._access is None:
         report = classify_rel(circuit)
         if report.ordered_witness is None:
             raise NotOrdered("direct access needs an ordered decision circuit")
-        circuit._access = _AccessIndex(circuit)
+        counts, total = _gate_counts(circuit)
+        pad = _extension_pad(circuit)
+        attrsets = circuit.attrsets()
+        nodes = circuit.nodes
+        every = range(len(circuit.attrs))
+        free = []
+        for a in every:
+            values = circuit.ext_domain_values(a)
+            free.append((a, (0, values[0], ()) if len(values) == 1 else (1, values)))
+        gates = {}             # decision gate id -> (attr, item)
+        flat = {}              # continuation id -> its join leaves, keyed
+
+        def leaves(top: int) -> tuple:
+            got = flat.get(top)
+            if got is None:
+                got = []
+                stack = [top]
+                while stack:
+                    nid = stack.pop()
+                    rec = nodes[nid]
+                    if rec[0] == 'J':
+                        stack.extend(rec[1])
+                    elif rec[0] == 'I':
+                        got.append((rec[1], (0, circuit.domains[rec[1]][rec[2]], ())))
+                    elif rec[0] == 'U':
+                        got.append(gates[nid])
+                got = flat[top] = tuple(got)
+            return got
+
+        for nid, attr in report._decisions.items():    # children first
+            gate_attrs = attrsets[nid] & ~(1 << attr)
+            pairs = []
+            for branch in nodes[nid][1]:
+                test, cont = nodes[branch][1]
+                if nodes[test][:2] != ('I', attr):
+                    test, cont = cont, test
+                pairs.append((nodes[test][2], cont))
+            rows = []
+            for vi, cont in sorted(pairs):
+                local = pad(counts[cont], gate_attrs, attrsets[cont])
+                if local:
+                    entries = leaves(cont)
+                    missing = gate_attrs & ~attrsets[cont]
+                    if missing:
+                        entries += tuple(members(missing, free))
+                    rows.append((circuit.domains[attr][vi], local, entries))
+            if len(rows) == 1:
+                gates[nid] = (attr, (0, rows[0][0], rows[0][2]))
+                continue
+            prefix = [0]
+            for row in rows:
+                prefix.append(prefix[-1] + row[1])
+            gates[nid] = (attr, (2, prefix, rows))
+        start = [None] * len(every)
+        for a, item in members(circuit.full_mask & ~attrsets[circuit.output], free):
+            start[a] = item
+        if total:
+            for a, item in leaves(circuit.output):
+                start[a] = item
+        circuit._access = start, total
     return circuit._access
 
 
 def direct_access(circuit: RelCircuit, index: int) -> dict:
     """The index-th tuple (1-based) in lexicographic order.
 
-    Order: attributes in circuit order, values in domain order.  The walk
-    keeps a frontier of independent pending gates and free attributes; at
-    each step the globally smallest pending attribute is resolved, dividing
-    the rank by the weight of everything else.
+    Order: attributes in circuit order, values in domain order.  Cost: one
+    index build per circuit (`_access_plan`), linear in the circuit for
+    compiled queries, then one pass over the attributes per rank, with one
+    bisect per decision gate.  The pass keeps one pending item per attribute; resolving it
+    divides the rank by the weight of the attributes after it, and a
+    decision writes the chosen branch's items into later slots: in an
+    ordered circuit a gate's first attribute is the one it decides, so they
+    all come after it, and decomposability keeps pending items on distinct
+    attributes.
     """
     if index < 1:
         raise OutOfRange(f"answer indexes are 1-based, got {index}")
-    access = _prepare_access(circuit)
-    counts, total = _gate_counts(circuit)
-
-    frontier = []          # heap of (attr, kind_tag, payload)
-
-    def push_gate(top: int):
-        # entries are totally ordered, so the order of pushes is free
-        stack = [top]
-        while stack:
-            nid = stack.pop()
-            rec = circuit.nodes[nid]
-            if rec[0] == 'J':
-                stack.extend(rec[1])
-            elif rec[0] == 'I':
-                heapq.heappush(frontier, (rec[1], 1, nid))
-            elif rec[0] == 'U':
-                heapq.heappush(frontier, (access.branches[nid][0], 2, nid))
-            elif rec[0] != '1':
-                raise NotOrdered("empty relation inside an access path")
-
-    def push_free(attrs_: Iterable[int]):
-        for a in attrs_:
-            heapq.heappush(frontier, (a, 0, None))
-
-    push_free(access.outside)
-    if counts[circuit.output]:
-        push_gate(circuit.output)
+    start, total = circuit._access or _access_plan(circuit)
     if index > total:
         raise OutOfRange(f"relation has {total} tuples, asked for {index}")
-
+    slots = start.copy()
     k = index - 1
     out = {}
-    while frontier:
-        attr, tag, payload = heapq.heappop(frontier)
-        if tag == 0:
-            size = circuit.ext_domain_size(attr)
-            rest = total // size
-            out[attr] = circuit.ext_domain_values(attr)[k // rest]
-            k %= rest
-            total = rest
-        elif tag == 1:
-            rec = circuit.nodes[payload]
-            out[attr] = circuit.domains[attr][rec[2]]
+    for name, item in zip(circuit.attrs, slots):    # sees the slots written ahead
+        if item[0] == 0:
+            out[name] = item[1]
+            for a, entry in item[2]:
+                slots[a] = entry
+        elif item[0] == 1:
+            total //= len(item[1])
+            pick, k = divmod(k, total)
+            out[name] = item[1][pick]
         else:
-            _, rows, prefix = access.branches[payload]
-            local = prefix[-1]
-            rest = total // local
-            rank, k_inner = divmod(k, rest)
+            _, prefix, rows = item
+            rest = total // prefix[-1]
+            rank, k = divmod(k, rest)
             j = bisect_right(prefix, rank) - 1
-            vi, cont, ext, local_j = rows[j]
-            out[attr] = circuit.domains[attr][vi]
-            # remaining rank interleaves the branch content with the rest
-            k = (rank - prefix[j]) * rest + k_inner
-            total = local_j * rest
-            push_gate(cont)
-            push_free(ext)
-    return {circuit.attrs[i]: v for i, v in out.items()}
+            value, local, entries = rows[j]
+            out[name] = value
+            # the remaining rank interleaves the branch with the rest
+            k += (rank - prefix[j]) * rest
+            total = local * rest
+            for a, entry in entries:
+                slots[a] = entry
+    return out
 
 
 # -- projection -------------------------------------------------------------------------

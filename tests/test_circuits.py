@@ -161,6 +161,30 @@ def test_classify_hint_verification():
     assert classify(pair, hint=ok).structured_witness is ok
 
 
+def test_right_linear_caterpillar():
+    by_hand = VTree.internal(VTree.leaf(3),
+                             VTree.internal(VTree.leaf(1), VTree.leaf(2)))
+    caterpillar = VTree.right_linear([3, 1, 2])
+    assert repr(caterpillar) == repr(by_hand) == "(v3 (v1 v2))"
+    assert caterpillar.right.vars == frozenset({1, 2})
+    assert caterpillar.vars == frozenset({1, 2, 3})
+    with pytest.raises(ValueError, match="must not repeat variables"):
+        VTree.right_linear([0, 1, 0])
+    with pytest.raises(ValueError, match="must not repeat variables"):
+        VTree.internal(VTree.leaf(0), VTree.internal(VTree.leaf(1), VTree.leaf(0)))
+    # 10^4 leaves in a scrambled order, read back along the spine
+    n = 10_000
+    order = [7 * i % n for i in range(n)]
+    tree = VTree.right_linear(order)
+    spine, node = [], tree
+    while not node.is_leaf():
+        spine.append(node.left.var)
+        node = node.right
+    assert spine + [node.var] == order
+    assert tree.vars == frozenset(range(n))
+    assert tree.right.right.vars == frozenset(order[2:])
+
+
 def test_classify_vtree_synthesis_for_component_split():
     # (x0 or x1) and (x2 or x3): needs a non-linear split
     b = CircuitBuilder(4)

@@ -246,6 +246,89 @@ def test_direct_access_requires_order():
         direct_access(c, 1)
 
 
+def assert_access_scans_sorted_enumeration(c):
+    """Every rank against the enumerated tuples sorted in domain order, and
+    the exact messages for the ranks just outside."""
+    pos = [{v: i for i, v in enumerate(dom)} for dom in c.domains]
+    expect = sorted((tuple(t[a] for a in c.attrs) for t in enumerate_rel(c)),
+                    key=lambda row: [pos[i][v] for i, v in enumerate(row)])
+    total = len(expect)
+    assert count_rel(c) == total
+    got = [tuple(direct_access(c, i)[a] for a in c.attrs)
+           for i in range(1, total + 1)]
+    assert got == expect
+    with pytest.raises(OutOfRange, match=r"^answer indexes are 1-based, got 0$"):
+        direct_access(c, 0)
+    with pytest.raises(OutOfRange,
+                       match=rf"^relation has {total} tuples, asked for {total + 1}$"):
+        direct_access(c, total + 1)
+    return expect
+
+
+def test_direct_access_zero_suppressed_defaults():
+    # x=0 leaves z at its default, x=1 leaves y and z there, and the output
+    # never mentions w
+    attrs = ['w', 'x', 'y', 'z']
+    domains = {a: [0, 1, 2] for a in attrs}
+    b = RelBuilder(attrs, domains, {'w': 1, 'x': 0, 'y': 2, 'z': 1})
+    dy = decision(b, 'y', [(0, b.unit()), (1, b.unit())])
+    dz = decision(b, 'z', [(0, b.unit()), (2, b.unit())])
+    c = b.finish(decision(b, 'x', [(0, dy), (1, b.unit()),
+                                   (2, b.join((b.input('y', 2), dz)))]))
+    assert classify_rel(c).ordered_witness is not None
+    assert assert_access_scans_sorted_enumeration(c) == [
+        (1, 0, 0, 1), (1, 0, 1, 1), (1, 1, 2, 1), (1, 2, 2, 0), (1, 2, 2, 2)]
+
+
+def test_direct_access_output_misses_attributes():
+    # the output decides b only; a and c range over their full domains
+    b = RelBuilder(['a', 'b', 'c'], {'a': [0, 1, 2], 'b': [5, 6, 7], 'c': [0, 1]})
+    c = b.finish(decision(b, 'b', [(5, b.unit()), (7, b.unit())]))
+    rows = assert_access_scans_sorted_enumeration(c)
+    assert rows == sorted(product([0, 1, 2], [5, 7], [0, 1]))
+
+
+def test_direct_access_branches_leave_attributes_free():
+    # x=0 leaves y and z free, x=1 leaves y free and fixes z, x=2 decides y
+    # and leaves z free
+    b = RelBuilder(['x', 'y', 'z'], {'x': [0, 1, 2], 'y': [0, 1, 2], 'z': [0, 1]})
+    dy = decision(b, 'y', [(1, b.unit()), (2, b.unit())])
+    c = b.finish(decision(b, 'x', [(0, b.unit()),
+                                   (1, b.join((b.input('z', 1), b.unit()))),
+                                   (2, dy)]))
+    rows = assert_access_scans_sorted_enumeration(c)
+    assert len(rows) == 6 + 3 + 4
+
+
+@pytest.mark.parametrize('make', [
+    lambda b: b.empty(),
+    lambda b: decision(b, 'x', [(0, b.empty()), (1, b.empty())]),
+], ids=['empty', 'all_branches_empty'])
+def test_direct_access_empty_relation(make):
+    b = RelBuilder(['x'], bool_domains('x'))
+    c = b.finish(make(b))
+    with pytest.raises(OutOfRange, match=r"^relation has 0 tuples, asked for 1$"):
+        direct_access(c, 1)
+
+
+@pytest.mark.parametrize('text', ["Q(x, y, z) :- R(x, y), S(y, z).",
+                                  "Q(x, y) :- R(x, y), S(y, z), T(y, w)."],
+                         ids=['path', 'star'])
+def test_direct_access_after_file_round_trip_of_compiled_query(text):
+    from kcomp.cq import Database, compile_cq, parse_cq
+    from kcomp.relational import read_rel, write_rel
+    rng = random.Random(31)
+    rels = {rel: {(str(rng.randint(0, 30)), str(rng.randint(0, 5)))
+                  if rel == 'R' else (str(rng.randint(0, 5)), str(rng.randint(0, 30)))
+                  for _ in range(60)} for rel in 'RST'}
+    compiled = compile_cq(parse_cq(text), Database(rels))
+    c = read_rel(write_rel(compiled))
+    rows = assert_access_scans_sorted_enumeration(c)
+    assert len(rows) > 20
+    assert rows == [tuple(str(v) for v in row)
+                    for row in assert_access_scans_sorted_enumeration(compiled)]
+
+
 # -- projection --------------------------------------------------------------------
 
 def test_project_away_simple():
