@@ -27,6 +27,10 @@ variable contributions from shared segment-tree pieces.  `answers`
 enumerates such a circuit from an explicit stack, expanding the variables
 an OR/union child misses the same way and skipping children without a
 model.
+
+The compilers' exhaustive searches (CNF, CQ, tree automata) are recursive
+generators run by `trampoline` from one explicit stack, and split their
+residuals with `components`, over the variable masks of their parts.
 """
 
 from __future__ import annotations
@@ -83,6 +87,72 @@ def members(mask: int, order) -> list:
         out.append(order[i])
         i = bits.find('1', i + 1)
     return out
+
+
+def trampoline(gen):
+    """Run a recursion written as generators; returns gen's return value.
+
+    A generator stands for one call.  It yields the generator of each
+    recursive call it makes and receives that call's return value at the
+    yield, so `child = yield f(...)` reads as `child = f(...)`.  Pending
+    calls wait on one explicit stack, so the depth is bounded by memory,
+    not by Python's recursion limit.  An exception propagates out of the
+    whole run, not into the waiting callers.
+    """
+    stack = []
+    value = None
+    while True:
+        try:
+            call = gen.send(value)
+        except StopIteration as stop:
+            if not stack:
+                return stop.value
+            gen = stack.pop()
+            value = stop.value
+        else:
+            stack.append(gen)
+            gen = call
+            value = None
+
+
+def components(items, masks) -> list:
+    """Group items by the connected components of their variable masks
+    (masks[i], nonzero, for items[i]).
+
+    One sweep ORs each mask into the components it meets, which it finds
+    from the most recent one back until all its variables are placed.
+    Groups are built only on a split: in order of their first item, items
+    in their given order; with one component the result is [items].
+    """
+    comps = []
+    union = 0
+    for m in masks:
+        seen = m & union
+        union |= m
+        if not seen:
+            comps.append(m)
+        elif not seen & ~comps[-1]:
+            comps[-1] |= m
+        else:
+            i = len(comps)
+            while seen:
+                i -= 1
+                if comps[i] & seen:
+                    seen &= ~comps[i]
+                    m |= comps.pop(i)
+            comps.append(m)
+    if len(comps) == 1:
+        return [items]
+    owner = {}
+    for i, comp in enumerate(comps):
+        while comp:
+            low = comp & -comp
+            owner[low.bit_length()] = i
+            comp ^= low
+    groups = {}
+    for item, m in zip(items, masks):
+        groups.setdefault(owner[(m & -m).bit_length()], []).append(item)
+    return list(groups.values())
 
 
 def split_flags(nodes, sets) -> tuple:

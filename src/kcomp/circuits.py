@@ -27,8 +27,9 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ._dag import (Builder, Intervals, binary_splits, edge_count, members,
-                   rebuild, split_flags, truth_values, var_masks)
+from ._dag import (Builder, Intervals, binary_splits, components, edge_count,
+                   members, rebuild, split_flags, trampoline, truth_values,
+                   var_masks)
 from .errors import NotDecomposable
 
 TRUE = ('T',)
@@ -105,9 +106,18 @@ class VTree:
         return self.left is None
 
     def __repr__(self):
-        if self.is_leaf():
-            return f"v{self.var}"
-        return f"({self.left!r} {self.right!r})"
+        """`v<var>` for a leaf, `(<left> <right>)` otherwise; a stack loop."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is str:
+                out.append(node)
+            elif node.is_leaf():
+                out.append(f"v{node.var}")
+            else:
+                out.append('(')
+                stack += (')', node.right, ' ', node.left)
+        return ''.join(out)
 
 
 class _LazyWitness:
@@ -474,45 +484,30 @@ def respects_vtree(circuit: BoolCircuit, vtree: VTree) -> bool:
                                 circuit.sorted_vars()))
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _synthesize_vtree(variables: frozenset, splits: list) -> Optional[VTree]:
+def _synthesize_vtree(variables: frozenset, splits: list):
     """Greedy vtree synthesis from AND splits; None when the greedy
-    bipartitioning gets stuck (which does not prove unstructuredness)."""
+    bipartitioning gets stuck (which does not prove unstructuredness).
+    A recursive generator, run by `trampoline`."""
     variables = set(variables)
     if not variables:
         return None
     if len(variables) == 1:
         return VTree.leaf(next(iter(variables)))
     splits = [s for s in splits if (s[0] | s[1]) <= variables]
-    uf = _UnionFind(variables)
-    for left, right in splits:
-        for side in (left, right):
-            first = None
+    # the variables of a split side stay together: per variable, one bit
+    # per side that holds it, and a bit of its own when no side does
+    sides = dict.fromkeys(variables, 0)
+    bit = 1
+    for split in splits:
+        for side in split:
             for v in side:
-                if first is None:
-                    first = v
-                else:
-                    uf.union(first, v)
-    groups = {}
-    for v in variables:
-        groups.setdefault(uf.find(v), set()).add(v)
-    groups = list(groups.values())
+                sides[v] |= bit
+            bit <<= 1
+    for v, mask in sides.items():
+        if not mask:
+            sides[v] = bit
+            bit <<= 1
+    groups = [set(g) for g in components(list(sides), list(sides.values()))]
     if len(groups) == 1:
         return None
     full = [s for s in splits if (s[0] | s[1]) == variables]
@@ -527,11 +522,13 @@ def _synthesize_vtree(variables: frozenset, splits: list) -> Optional[VTree]:
     else:
         part_a = groups[0]
         part_b = set().union(*groups[1:])
-    left_tree = _synthesize_vtree(frozenset(part_a),
-                                  [s for s in splits if (s[0] | s[1]) <= part_a])
-    right_tree = _synthesize_vtree(frozenset(part_b),
-                                   [s for s in splits if (s[0] | s[1]) <= part_b])
-    if left_tree is None or right_tree is None:
+    left_tree = yield _synthesize_vtree(
+        frozenset(part_a), [s for s in splits if (s[0] | s[1]) <= part_a])
+    if left_tree is None:
+        return None
+    right_tree = yield _synthesize_vtree(
+        frozenset(part_b), [s for s in splits if (s[0] | s[1]) <= part_b])
+    if right_tree is None:
         return None
     return VTree.internal(left_tree, right_tree)
 
@@ -539,7 +536,7 @@ def _synthesize_vtree(variables: frozenset, splits: list) -> Optional[VTree]:
 def _synthesized_witness(variables: frozenset, splits: list) -> Optional[VTree]:
     """A vtree over the variables that every split fits, found greedily;
     None does not prove that there is none."""
-    vtree = _synthesize_vtree(variables, splits)
+    vtree = trampoline(_synthesize_vtree(variables, splits))
     if vtree is not None and all(_split_fits(vtree, left, right)
                                  for left, right in splits):
         return vtree

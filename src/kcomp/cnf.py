@@ -11,17 +11,17 @@ Unit propagations are recorded as decision gates with a constant branch so
 the output is always decision-shaped.  Clauses use DIMACS literals (signed,
 variables 1..n); circuit variable k corresponds to DIMACS variable k+1.
 
-The search does not recurse: one explicit stack of frames runs it, so its
-depth is bounded by memory, not by Python's recursion limit.  A residual
-maps original clause ids to (sorted literal tuple, variable mask).  Setting
-a literal visits only the clauses of its variable, through occurrence
-lists built once per formula, and propagation takes the unit clause of
-least id from a heap, as a scan in clause order would.  Components come
-from one sweep over the clause masks, and `first_unassigned` reads the
-lowest bit of their union.  Each step still costs O(residual), since the
-residual is copied, swept and sorted into its cache key, so an implication
-chain without a unit clause, which decides once per variable, stays
-quadratic.
+The search is written as two recursive generators, `solve` and `branch`,
+run by `_dag.trampoline`, so its depth is bounded by memory, not by
+Python's recursion limit.  A residual maps original clause ids to (sorted
+literal tuple, variable mask).  Setting a literal visits only the clauses
+of its variable, through occurrence lists built once per formula, and
+propagation takes the unit clause of least id from a heap, as a scan in
+clause order would.  Components come from `_dag.components`, one sweep
+over the clause masks, and `first_unassigned` reads the lowest bit of
+their union.  Each step still costs O(residual), since the residual is
+copied, swept and sorted into its cache key, so an implication chain
+without a unit clause, which decides once per variable, stays quadratic.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from heapq import heappop, heappush
 from operator import or_
 from typing import Iterable
 
+from ._dag import components, trampoline
 from .circuits import CircuitBuilder
 from .errors import ClauseCountMismatch, LiteralOutOfRange, MalformedHeader
 
@@ -116,48 +117,6 @@ def _mask(clause) -> int:
     return m
 
 
-def _components(clauses, masks=None):
-    """Group non-empty clauses by connected components of the variable graph.
-
-    One sweep ORs each clause's variable mask (`masks[i]` for `clauses[i]`,
-    computed when omitted) into the components it meets, which it finds
-    from the most recent one back until all its variables are placed.
-    Groups are built only on a split: in order of their first clause,
-    clauses in their given order.
-    """
-    if masks is None:
-        masks = [_mask(c) for c in clauses]
-    comps = []
-    union = 0
-    for m in masks:
-        seen = m & union
-        union |= m
-        if not seen:
-            comps.append(m)
-        elif not seen & ~comps[-1]:
-            comps[-1] |= m
-        else:
-            i = len(comps)
-            while seen:
-                i -= 1
-                if comps[i] & seen:
-                    seen &= ~comps[i]
-                    m |= comps.pop(i)
-            comps.append(m)
-    if len(comps) == 1:
-        return [clauses]
-    owner = {}
-    for i, comp in enumerate(comps):
-        while comp:
-            low = comp & -comp
-            owner[low.bit_length()] = i
-            comp ^= low
-    groups = {}
-    for clause, m in zip(clauses, masks):
-        groups.setdefault(owner[(m & -m).bit_length()], []).append(clause)
-    return list(groups.values())
-
-
 def _pick_variable(clauses, masks, heuristic: str) -> int:
     if heuristic == 'first_unassigned':
         union = reduce(or_, masks)
@@ -181,9 +140,6 @@ def _pick_variable(clauses, masks, heuristic: str) -> int:
 
 
 HEURISTICS = ('first_unassigned', 'most_occurrences', 'min_cut_greedy')
-
-# frames of the explicit stack in compile_dpll
-_RESTRICT, _SOLVE, _WRAP, _DECIDE, _CONJOIN = range(5)
 
 
 def compile_dpll(formula: CNFFormula, heuristic: str = 'first_unassigned',
@@ -236,66 +192,49 @@ def compile_dpll(formula: CNFFormula, heuristic: str = 'first_unassigned',
             lit = entry[0][0]
             forced.append(lit)
 
-    # Each frame runs one step of the recursive search: restrict a residual
-    # by a literal, solve a propagated residual, wrap forced literals around
-    # the node just built, or join the last two (decision) or k (component)
-    # nodes.  Results go on `built`, in the order the recursion returned them.
-    todo = [(_RESTRICT, {cid: (c, _mask(c)) for cid, c in enumerate(clauses)}, 0)]
-    built = []
-    while todo:
-        op, arg, extra = todo.pop()
-        if op == _RESTRICT:
-            forced, residual = restrict(arg, extra)
-            if residual is None:
-                built.append(b.false())
-                continue
-            if forced:
-                todo.append((_WRAP, forced, None))
-            todo.append((_SOLVE, residual, None))
-        elif op == _SOLVE:
-            if not arg:
-                built.append(b.true())
-                continue
-            residual, masks = zip(*arg.values())
-            key = None
-            if use_cache:
-                key = tuple(sorted(residual))
-                hit = cache.get(key)
-                if hit is not None:
-                    stats.cache_hits += 1
-                    built.append(hit)
-                    continue
-            comps = _components(list(arg), masks)
-            if len(comps) > 1:
-                stats.component_splits += 1
-                todo.append((_CONJOIN, len(comps), key))
-                for comp in reversed(comps):
-                    todo.append((_SOLVE, {cid: arg[cid] for cid in comp}, None))
-            else:
-                var = _pick_variable(residual, masks, heuristic)
-                stats.decision_count += 1
-                todo.append((_DECIDE, var, key))
-                todo.append((_RESTRICT, arg, var))
-                todo.append((_RESTRICT, arg, -var))
-        elif op == _WRAP:
-            node = built.pop()
-            for lit in reversed(arg):
-                var = abs(lit) - 1
-                if lit > 0:
-                    node = b.decision(var, b.false(), node)
-                else:
-                    node = b.decision(var, node, b.false())
-            built.append(node)
+    def solve(residual: dict):
+        """Node of a propagated residual: a decomposable AND over its
+        components, or a decision on one variable."""
+        if not residual:
+            return b.true()
+        clauses, masks = zip(*residual.values())
+        key = None
+        if use_cache:
+            key = tuple(sorted(clauses))
+            hit = cache.get(key)
+            if hit is not None:
+                stats.cache_hits += 1
+                return hit
+        comps = components(list(residual), masks)
+        if len(comps) > 1:
+            stats.component_splits += 1
+            parts = []
+            for comp in comps:
+                parts.append((yield solve({cid: residual[cid] for cid in comp})))
+            node = b.conj(tuple(parts))
         else:
-            if op == _DECIDE:
-                hi = built.pop()
-                node = b.decision(arg - 1, built.pop(), hi)
-            else:
-                node = b.conj(tuple(built[-arg:]))
-                del built[-arg:]
-            if use_cache:
-                cache[extra] = node
-            built.append(node)
+            var = _pick_variable(clauses, masks, heuristic)
+            stats.decision_count += 1
+            lo = yield branch(residual, -var)
+            node = b.decision(var - 1, lo, (yield branch(residual, var)))
+        if use_cache:
+            cache[key] = node
+        return node
 
+    def branch(residual: dict, lit: int):
+        """Node of the residual under `lit`, with the literals that
+        propagation forces wrapped around it as decisions."""
+        forced, residual = restrict(residual, lit)
+        if residual is None:
+            return b.false()
+        node = yield solve(residual)
+        for lit in reversed(forced):
+            if lit > 0:
+                node = b.decision(lit - 1, b.false(), node)
+            else:
+                node = b.decision(-lit - 1, node, b.false())
+        return node
+
+    root = trampoline(branch({cid: (c, _mask(c)) for cid, c in enumerate(clauses)}, 0))
     stats.peak_cache_entries = len(cache)
-    return b.finish(built.pop()), stats
+    return b.finish(root), stats

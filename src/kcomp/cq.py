@@ -10,12 +10,15 @@ decides it: the values are found by a seek-based intersection in the style
 of Leapfrog Triejoin, which steps through the narrowest slice and seeks a
 monotone cursor forward in the others, so one branch point costs about
 min-slice * log(slice) rather than the sum of the slices.  Independent
-components of the residual query compile separately under a join gate, and
-residual states are cached.  Once all free variables of a component are
-fixed, the remaining existential part reduces to a cached emptiness test
-that stops at the first witness.  With an order witnessing free-connex
-acyclicity the circuit size, and the compile time up to a log factor, are
-linear in the database, up to query-dependent factors.
+components of the residual query, split by `_dag.components` over each
+atom's mask of undecided variables, compile separately under a join gate,
+and residual states are cached.  Once all free variables of a component
+are fixed, the remaining existential part reduces to a cached emptiness
+test that stops at the first witness.  Both searches recurse as generators
+run by `_dag.trampoline`, so their depth is bounded by memory, not by
+Python's recursion limit.  With an order witnessing free-connex acyclicity
+the circuit size, and the compile time up to a log factor, are linear in
+the database, up to query-dependent factors.
 
 A query that is not free-connex goes through the projection step of Bagan,
 Durand and Grandjean: it is compiled with every variable free, its answers
@@ -30,6 +33,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+from ._dag import components, trampoline
 from .errors import (ArityMismatch, NotFreeConnex, OrderMissingVariables,
                      QuerySyntaxError, UnboundHeadVariable, UnknownRelation)
 from .relational import RelBuilder, RelCircuit, count_rel, direct_access, enumerate_rel
@@ -369,6 +373,10 @@ class _AtomIndex:
                 keys.append(tuple(key))
         keys.sort()
         self.keys = keys
+        # undecided[d]: mask (bit rank[v]) of the variables of groups d on
+        self.undecided = [0] * (len(self.group_vars) + 1)
+        for d in range(len(self.group_vars) - 1, -1, -1):
+            self.undecided[d] = self.undecided[d + 1] | 1 << rank[self.group_vars[d]]
 
     def full_range(self) -> tuple:
         return (0, len(self.keys), 0)
@@ -493,32 +501,6 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
     def state_key(atom_states: dict) -> tuple:
         return tuple(sorted((a,) + atom_states[a] for a in atom_states))
 
-    def components(atom_states: dict) -> list:
-        """Group atoms by connectivity over their undecided variables."""
-        undecided = {a: set(indexes[a].group_vars[atom_states[a][2]:])
-                     for a in atom_states}
-        parent = {a: a for a in atom_states}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        var_owner = {}
-        for a, vs in undecided.items():
-            for v in vs:
-                if v in var_owner:
-                    ra, rb = find(a), find(var_owner[v])
-                    if ra != rb:
-                        parent[ra] = rb
-                else:
-                    var_owner[v] = a
-        groups = {}
-        for a in atom_states:
-            groups.setdefault(find(a), []).append(a)
-        return list(groups.values())
-
     def next_variable(atom_states: dict, atoms: list) -> Optional[str]:
         best = None
         for a in atoms:
@@ -562,7 +544,9 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
                 yield value, sub
                 lo0 = end0
 
-    def exists(atom_states: dict, atoms: list) -> bool:
+    def exists(atom_states: dict, atoms: list):
+        """Whether some assignment extends this residual; stops at the
+        first witness."""
         atoms = [a for a in atoms
                  if indexes[a].next_var(atom_states[a]) is not None]
         if not atoms:
@@ -574,13 +558,13 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
         var = next_variable(atom_states, atoms)
         result = False
         for _, sub in branches(atom_states, atoms, var):
-            if exists(sub, atoms):
+            if (yield exists(sub, atoms)):
                 result = True
                 break
         exists_cache[key] = result
         return result
 
-    def compile_part(atom_states: dict) -> int:
+    def compile_part(atom_states: dict):
         """Circuit node for the relation of this residual, or the empty
         node when no assignment survives."""
         live = {a: s for a, s in atom_states.items()
@@ -591,11 +575,12 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
         hit = circuit_cache.get(key)
         if hit is not None:
             return hit
-        comps = components(live)
+        comps = components(list(live), [indexes[a].undecided[s[2]]
+                                         for a, s in live.items()])
         if len(comps) > 1:
             parts = []
             for comp in comps:
-                node = compile_part({a: live[a] for a in comp})
+                node = yield compile_part({a: live[a] for a in comp})
                 if b.nodes[node] == ('0',):
                     circuit_cache[key] = b.empty()
                     return b.empty()
@@ -607,11 +592,11 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
             atoms = comps[0]
             var = next_variable(live, atoms)
             if var not in free_vars:
-                node = b.unit() if exists(live, atoms) else b.empty()
+                node = b.unit() if (yield exists(live, atoms)) else b.empty()
             else:
                 children = []
                 for r, sub_states in branches(live, atoms, var):
-                    sub = compile_part(sub_states)
+                    sub = yield compile_part(sub_states)
                     if b.nodes[sub] == ('0',):
                         continue
                     children.append(b.join((b.input(var, values[r]), sub)))
@@ -625,7 +610,7 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
         if state[1] == 0:
             return b.finish(b.empty())
         initial[idx.atom_id] = state
-    return b.finish(compile_part(initial))
+    return b.finish(trampoline(compile_part(initial)))
 
 
 # -- answer wrappers ----------------------------------------------------------------------

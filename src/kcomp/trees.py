@@ -8,7 +8,9 @@ one decision per node along the preorder: at every step the remaining
 acceptance condition is captured by a continuation table mapping the
 current subtree's possible states to the circuit for the rest of the tree.
 Continuations are hash-consed, so for automata whose state reachability
-stays small the circuit grows linearly with the tree.
+stays small the circuit grows linearly with the tree.  The construction and
+`run` recurse on the tree as generators run by `_dag.trampoline`, so a
+tree's depth is bounded by memory, not by Python's recursion limit.
 
 The same construction, reading the node variable as membership in a set
 annotation instead of keep-versus-revert, yields the circuit of a query's
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._dag import trampoline
 from .circuits import CircuitBuilder, VTree
 from .errors import (IncompleteTransition, InputFormatError,
                      NondeterministicAutomaton)
@@ -112,20 +115,22 @@ def run(automaton, tree: TreeNode) -> bool:
         def states_of(node):
             if node.is_leaf():
                 return frozenset(automaton.leaf_transition.get(node.label, frozenset()))
+            left = yield states_of(node.left)
+            right = yield states_of(node.right)
             acc = set()
-            for s1 in states_of(node.left):
-                for s2 in states_of(node.right):
+            for s1 in left:
+                for s2 in right:
                     acc |= automaton.internal_transition.get(
                         (s1, s2, node.label), frozenset())
             return frozenset(acc)
-        return bool(states_of(tree) & automaton.accepting)
+        return bool(trampoline(states_of(tree)) & automaton.accepting)
 
     def state_of(node):
         if node.is_leaf():
             return automaton.leaf_state(node.label)
-        return automaton.step(state_of(node.left), state_of(node.right),
-                              node.label)
-    return state_of(tree) in automaton.accepting
+        left = yield state_of(node.left)
+        return automaton.step(left, (yield state_of(node.right)), node.label)
+    return trampoline(state_of(tree)) in automaton.accepting
 
 
 def determinize(automaton: NondetTreeAutomaton, alphabet,
@@ -171,16 +176,15 @@ def _indexed_nodes(tree: TreeNode) -> list:
     """Preorder array of (label, left_index, right_index); children are -1
     on leaves.  Positional, so shared subtree objects are handled."""
     nodes = []
-
-    def walk(node: TreeNode) -> int:
-        idx = len(nodes)
+    stack = [(tree, 0, 0)]              # node, parent record, child slot
+    while stack:
+        node, parent, slot = stack.pop()
+        if slot:
+            nodes[parent][slot] = len(nodes)
         nodes.append([node.label, -1, -1])
         if not node.is_leaf():
-            nodes[idx][1] = walk(node.left)
-            nodes[idx][2] = walk(node.right)
-        return idx
-
-    walk(tree)
+            stack.append((node.right, len(nodes) - 1, 2))
+            stack.append((node.left, len(nodes) - 1, 1))
     return [tuple(rec) for rec in nodes]
 
 
@@ -189,51 +193,44 @@ def _compile_decisions(automaton: TreeAutomaton, tree: TreeNode,
     """Decision circuit over the preorder node variables.
 
     branch_labels(label) gives the labels read when the node variable is
-    true and false.  compile(idx, cont) returns the circuit for "the rest
-    of the acceptance test", where cont maps each state the subtree at idx
-    may reach to the circuit continuing with that state; continuations are
-    tuples indexed like automaton.states and shared through the builder's
-    hash-consing plus a memo table.
+    true and false.  compile_node(idx, cont) returns the circuit for "the
+    rest of the acceptance test", where cont maps each state the subtree at
+    idx may reach to the circuit continuing with that state; continuations
+    are tuples indexed like automaton.states and shared through the
+    builder's hash-consing plus a memo table, read before each call.  An
+    internal node compiles its right subtree once per state of the left
+    one, then the left subtree on those circuits.
     """
     nodes = _indexed_nodes(tree)
-    state_pos = {s: i for i, s in enumerate(automaton.states)}
+    states = automaton.states
+    state_pos = {s: i for i, s in enumerate(states)}
     b = CircuitBuilder(len(nodes))
     memo = {}
 
-    def compile_node(idx: int, cont: tuple) -> int:
-        key = (idx, cont)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def compile_node(idx: int, cont: tuple):
         label, left, right = nodes[idx]
-        true_label, false_label = branch_labels(label)
-        if left < 0:
-            hi = cont[state_pos[automaton.leaf_state(true_label)]]
-            lo = cont[state_pos[automaton.leaf_state(false_label)]]
-        else:
-            hi = branch(left, right, true_label, cont)
-            lo = branch(left, right, false_label, cont)
-        gate = b.decision(idx, lo, hi)
-        memo[key] = gate
+        hi_lo = []
+        for lab in branch_labels(label):
+            if left < 0:
+                hi_lo.append(cont[state_pos[automaton.leaf_state(lab)]])
+                continue
+            outer = []
+            for s1 in states:
+                inner = tuple(cont[state_pos[automaton.step(s1, s2, lab)]]
+                              for s2 in states)
+                hit = memo.get((right, inner))
+                outer.append(hit if hit is not None
+                             else (yield compile_node(right, inner)))
+            outer = tuple(outer)
+            hit = memo.get((left, outer))
+            hi_lo.append(hit if hit is not None
+                         else (yield compile_node(left, outer)))
+        memo[(idx, cont)] = gate = b.decision(idx, hi_lo[1], hi_lo[0])
         return gate
 
-    def branch(left: int, right: int, label, cont: tuple) -> int:
-        right_for = {}
-        outer = []
-        for s1 in automaton.states:
-            hit = right_for.get(s1)
-            if hit is None:
-                inner = tuple(cont[state_pos[automaton.step(s1, s2, label)]]
-                              for s2 in automaton.states)
-                hit = compile_node(right, inner)
-                right_for[s1] = hit
-            outer.append(hit)
-        return compile_node(left, tuple(outer))
-
     top = tuple(b.true() if s in automaton.accepting else b.false()
-                for s in automaton.states)
-    root = compile_node(0, top)
-    circuit = b.finish(root)
+                for s in states)
+    circuit = b.finish(trampoline(compile_node(0, top)))
     vtree = VTree.right_linear(range(len(nodes)))
     return circuit, vtree
 

@@ -17,10 +17,14 @@ masks must decode to.  `cardinality_by_convolution`, `RATIONAL_GENERIC` and
 of coefficients and over Fractions, which its integer folds must match.
 `check_determinism_semantic`, `verify_equivalence` and `structurally_equal`
 are exhaustive checkers over 2^n valuations or whole node lists that no
-library path calls.
+library path calls.  `tree_acceptance_probability` sums state distributions
+bottom-up over a tree of any depth, and `_recursion_limit_near_current_depth`
+lets a test show that a library path does not recurse with its input.
 """
 
 import operator
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -609,3 +613,59 @@ def run_automaton_naive(leaf_trans, internal_trans, accepting, tree):
             return leaf_trans[t[1]]
         return internal_trans[(state(t[2]), state(t[3]), t[1])]
     return state(tree) in accepting
+
+
+def tree_acceptance_probability(automaton, prob_tree):
+    """Probability that a deterministic automaton accepts a random world of
+    a probabilistic tree, from one distribution over states per node.
+
+    Nodes are numbered in preorder from an explicit stack, so children come
+    after their parent and a reverse scan is bottom-up at any depth.  Each
+    node keeps its label with its probability, else reads the default.
+    """
+    recs = []                           # [node, left index, right index]
+    stack = [(prob_tree.tree, -1, 0)]
+    while stack:
+        node, parent, side = stack.pop()
+        if parent >= 0:
+            recs[parent][side] = len(recs)
+        recs.append([node, -1, -1])
+        if node.left is not None:
+            stack.append((node.right, len(recs) - 1, 2))
+            stack.append((node.left, len(recs) - 1, 1))
+    dist = [None] * len(recs)
+    for i in range(len(recs) - 1, -1, -1):
+        node, left, right = recs[i]
+        p = Fraction(prob_tree.prob[i])
+        d = {}
+        for label, w in ((node.label, p), (prob_tree.default, 1 - p)):
+            if not w:
+                continue
+            if left < 0:
+                s = automaton.leaf_transition[label]
+                d[s] = d.get(s, 0) + w
+                continue
+            for s1, p1 in dist[left].items():
+                for s2, p2 in dist[right].items():
+                    s = automaton.internal_transition[(s1, s2, label)]
+                    d[s] = d.get(s, 0) + w * p1 * p2
+        dist[i] = d
+    return sum((w for s, w in dist[0].items() if s in automaton.accepting),
+               Fraction(0))
+
+
+# -- Depth ---------------------------------------------------------------------
+
+@contextmanager
+def _recursion_limit_near_current_depth(margin=150):
+    """Lower Python's recursion limit to the caller's frame depth plus a
+    margin, far below the depth of a deep input, and restore it after."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + margin)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

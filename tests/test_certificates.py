@@ -9,6 +9,8 @@ from kcomp import circuits
 from kcomp._dag import binary_splits
 from kcomp.circuits import respects_vtree, to_nnf
 
+from oracles import _recursion_limit_near_current_depth
+
 
 def random_decision_dag(rng, num_vars, steps, ordered):
     """Decision gates over a pool of earlier gates; with `ordered`, each
@@ -212,3 +214,15 @@ def test_lazy_witness_matches_a_direct_search():
     assert sum(lazy is None for lazy, _ in cases) > 10
     for lazy, direct in cases:
         assert repr(lazy) == repr(direct)
+
+
+def test_witness_synthesis_of_a_deep_vtree_does_not_recurse():
+    # x1 -> x2 -> ... -> x150 compiles to a decision chain; classify_rel
+    # synthesizes the vtree of its relational copy, one level per variable
+    n = 150
+    chain = "".join(f"-{i} {i + 1} 0\n" for i in range(1, n))
+    circuit, _ = compile_dpll(parse_dimacs(f"p cnf {n} {n - 1}\n{chain}"))
+    expected = classify_rel(from_boolean(circuit)).structured_witness
+    with _recursion_limit_near_current_depth(margin=60):
+        got = classify_rel(from_boolean(circuit)).structured_witness
+    assert got is not None and repr(got) == repr(expected)

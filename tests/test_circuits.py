@@ -185,6 +185,20 @@ def test_right_linear_caterpillar():
     assert tree.right.right.vars == frozenset(order[2:])
 
 
+def test_vtree_repr():
+    assert repr(VTree.leaf(5)) == "v5"
+    balanced = VTree.internal(VTree.internal(VTree.leaf(0), VTree.leaf(1)),
+                              VTree.internal(VTree.leaf(2), VTree.leaf(3)))
+    assert repr(balanced) == "((v0 v1) (v2 v3))"
+    left_linear = VTree.internal(VTree.internal(VTree.leaf('a'), VTree.leaf('b')),
+                                 VTree.leaf('c'))
+    assert repr(left_linear) == "((va vb) vc)"
+    # far deeper than the recursion limit
+    n = 10_000
+    text = "".join(f"(v{i} " for i in range(n - 1)) + f"v{n - 1}" + ")" * (n - 1)
+    assert repr(VTree.right_linear(range(n))) == text
+
+
 def test_classify_vtree_synthesis_for_component_split():
     # (x0 or x1) and (x2 or x3): needs a non-linear split
     b = CircuitBuilder(4)

@@ -1,14 +1,13 @@
 import hashlib
 import random
-import sys
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
+from kcomp._dag import components
 from kcomp.circuits import classify, smooth
 from kcomp.cnf import (CNFFormula, compile_dpll, parse_dimacs, HEURISTICS,
-                       _components)
+                       _mask)
 from kcomp.cq import Database, parse_cq
 from kcomp.errors import (ClauseCountMismatch, LiteralOutOfRange,
                           MalformedHeader)
@@ -16,8 +15,8 @@ from kcomp.nnf_io import write_nnf
 from kcomp.provenance import TID, pqe
 from kcomp.queries import model_count
 
-from oracles import (clause_components, cnf_models, models_of,
-                     verify_equivalence)
+from oracles import (_recursion_limit_near_current_depth, clause_components,
+                     cnf_models, models_of, verify_equivalence)
 
 
 def random_cnf(rng, num_vars, num_clauses):
@@ -171,7 +170,7 @@ def test_components_match_union_find_reference():
                 blk = rng.choice(blocks)
                 vs = rng.sample(blk, rng.randint(1, min(3, len(blk))))
             clauses.append(frozenset(v if rng.random() < 0.5 else -v for v in vs))
-        got = _components(clauses)
+        got = components(clauses, [_mask(c) for c in clauses])
         assert got == clause_components(clauses)
         several += len(got) > 1
     assert several > 200
@@ -259,20 +258,8 @@ def test_duplicate_clauses_keep_the_cache_key_a_multiset():
 #
 # The search keeps its own stack, so its depth is bounded by memory, not by
 # Python's recursion limit.  The depth tests lower that limit to the current
-# frame depth plus a margin, far below the decision depth of the input.
-
-@contextmanager
-def _recursion_limit_near_current_depth(margin=150):
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + margin)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
+# frame depth plus a margin, far below the decision depth of the input, with
+# `_recursion_limit_near_current_depth` from the oracles module.
 
 def implication_chain(n, unit_head=False):
     """x1 -> x2 -> ... -> xn, with the unit clause x1 when asked."""

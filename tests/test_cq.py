@@ -14,7 +14,7 @@ from kcomp.errors import (ArityMismatch, NotFreeConnex, OrderMissingVariables,
 from kcomp.relational import (classify_rel, count_rel, direct_access,
                               enumerate_rel)
 
-from oracles import join_answers
+from oracles import _recursion_limit_near_current_depth, join_answers
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -491,3 +491,22 @@ def test_boolean_exists_stops_at_first_witness(reverse, monkeypatch):
     assert len(seeks) < 10
     db = Database({'R': db.relations['R'], 'S': {('j', z) for z in range(2000)}})
     assert count_rel(compile_cq(q, db, order)) == 0
+
+
+def test_long_path_query_compiles_without_recursion():
+    # R(x0, x1), ..., R(x59, x60) over the cycle a -> b -> c -> a, with the
+    # exit c -> d -> e: a walk leaves the cycle only in its last two steps
+    n = 60
+    edges = {('a', 'b'), ('b', 'c'), ('c', 'a'), ('c', 'd'), ('d', 'e')}
+    db = Database({'R': edges})
+    body = ", ".join(f"R(x{i}, x{i + 1})" for i in range(n))
+    walks = {v: 1 for v in 'abcde'}     # walks of k edges from each vertex
+    for _ in range(n):
+        walks = {v: sum(walks[w] for u, w in edges if u == v) for v in 'abcde'}
+    every = ", ".join(f"x{i}" for i in range(n + 1))
+    with _recursion_limit_near_current_depth(margin=40):
+        full = compile_cq(parse_cq(f"Q({every}) :- {body}."), db)
+    with _recursion_limit_near_current_depth(margin=40):
+        starts = compile_cq(parse_cq(f"Q(x0) :- {body}."), db)
+    assert count_rel(full) == sum(walks.values())
+    assert [t['x0'] for t in enumerate_rel(starts)] == [v for v in 'abcde' if walks[v]]

@@ -12,7 +12,8 @@ from kcomp.trees import (NondetTreeAutomaton, ProbTree, TreeAutomaton,
                          determinize, pqe_tree, provenance_tree, run,
                          tree_from_json)
 
-from oracles import models_of, run_automaton_naive
+from oracles import (_recursion_limit_near_current_depth, models_of,
+                     run_automaton_naive, tree_acceptance_probability)
 
 
 def some_label_automaton(target='a', alphabet=('a', 'e')):
@@ -349,3 +350,72 @@ def test_automaton_json_rejects_malformed():
     with pytest.raises(InputFormatError):
         automaton_from_json('{"states": [0], "accepting": [],'
                             ' "leaf": {}, "internal": [[0, 0, "a"]]}')
+
+
+# -- depth -------------------------------------------------------------------
+#
+# Runs and compilation keep their own stacks, so a tree far deeper than the
+# recursion limit, lowered here to the current frame depth plus a margin,
+# needs no Python recursion.
+
+def caterpillar(rng, depth, labels=('a', 'b', 'e')):
+    """(root, spine labels bottom-up, leaf labels bottom-up): a spine of
+    `depth` internal nodes, each with a leaf as its left child."""
+    spine = [rng.choice(labels) for _ in range(depth)]
+    leaves = [rng.choice(labels) for _ in range(depth + 1)]
+    node = TreeNode(leaves[0])
+    for label, leaf in zip(spine, leaves[1:]):
+        node = TreeNode(label, TreeNode(leaf), node)
+    return node, spine, leaves
+
+
+def mod3_automaton():
+    """Counts 'a' labels modulo 3; accepts when the count is 0."""
+    states = (0, 1, 2)
+    internal = {(s1, s2, lab): (s1 + s2 + (lab == 'a')) % 3
+                for s1 in states for s2 in states for lab in ('a', 'b', 'e')}
+    return TreeAutomaton(states, frozenset({0}),
+                         {'a': 1, 'b': 0, 'e': 0}, internal)
+
+
+def test_run_on_a_deep_caterpillar():
+    det = mod3_automaton()
+
+    def nd_step(s1, s2, lab):
+        # a 'b' may also move to the sink state 3, which never accepts
+        if 3 in (s1, s2):
+            return frozenset({3})
+        t = det.step(s1, s2, lab)
+        return frozenset({t, 3} if lab == 'b' else {t})
+
+    nd = NondetTreeAutomaton(
+        det.states + (3,), det.accepting,
+        {'a': frozenset({1}), 'b': frozenset({0, 3}), 'e': frozenset({0})},
+        {(s1, s2, lab): nd_step(s1, s2, lab)
+         for s1 in range(4) for s2 in range(4) for lab in ('a', 'b', 'e')})
+    outcomes = set()
+    for seed in range(4):
+        tree, spine, leaves = caterpillar(random.Random(seed), 5000)
+        state = det.leaf_state(leaves[0])
+        reach = nd.leaf_transition[leaves[0]]
+        for label, leaf in zip(spine, leaves[1:]):
+            state = det.step(det.leaf_state(leaf), state, label)
+            reach = frozenset(t for s1 in nd.leaf_transition[leaf] for s2 in reach
+                              for t in nd.internal_transition[(s1, s2, label)])
+        with _recursion_limit_near_current_depth():
+            assert run(det, tree) == (state in det.accepting)
+            assert run(nd, tree) == bool(reach & nd.accepting)
+        assert len(reach) == 2
+        outcomes.add(state in det.accepting)
+    assert outcomes == {False, True}
+
+
+def test_pqe_on_a_deep_caterpillar():
+    # the shape of the deep_tree ceiling probe: 1200 levels, 2401 nodes
+    rng = random.Random(12)
+    tree, _, _ = caterpillar(rng, 1200)
+    prob_tree = ProbTree(tree, {i: Fraction(rng.randint(0, 8), 8)
+                                for i in range(2401)})
+    with _recursion_limit_near_current_depth():
+        got = pqe_tree(mod3_automaton(), prob_tree)
+    assert got == tree_acceptance_probability(mod3_automaton(), prob_tree)
