@@ -459,20 +459,24 @@ def smooth(circuit: BoolCircuit) -> BoolCircuit:
 
 def _split_fits(vtree: VTree, left: frozenset, right: frozenset) -> bool:
     """The lowest vtree node covering the split puts one side under each
-    of its children."""
-    node = vtree
+    of its children.  Below a node that covers the split, a set lies under
+    the right child exactly when it misses the left child's variables, so
+    only left children's variable sets are read: on a right_linear spine
+    those are leaves, and the walk is linear in the depth."""
     union = left | right
+    if not union <= vtree.vars:
+        return False
+    node = vtree
     while not node.is_leaf():
-        if union <= node.left.vars:
+        below = node.left.vars
+        if union <= below:
             node = node.left
-        elif union <= node.right.vars:
+        elif union.isdisjoint(below):
             node = node.right
         else:
-            break
-    if node.is_leaf():
-        return False
-    return ((left <= node.left.vars and right <= node.right.vars)
-            or (left <= node.right.vars and right <= node.left.vars))
+            return ((left <= below and right.isdisjoint(below))
+                    or (right <= below and left.isdisjoint(below)))
+    return False
 
 
 def respects_vtree(circuit: BoolCircuit, vtree: VTree) -> bool:

@@ -15,8 +15,12 @@ Three representations are built here:
     variable free: one term per answer, the facts its identifier
     attributes name (any query, self-joins and unions included; feeds the
     approximation path and the negated lineage below);
-  * a read-once tree for hierarchical self-join-free queries, turned into
-    an ordered decision diagram.
+  * a read-once tree for hierarchical self-join-free queries, read off the
+    same compiled lifted query in one bottom-up pass (compiled in
+    hierarchy order, its joins are independent ANDs and its unions
+    independent ORs) and turned into an ordered decision diagram.
+
+All three come from `compile_cq`; this module runs no join of its own.
 
 Exact query probability, uniform reliability and Shapley values all read
 one deterministic decomposable lineage circuit, chosen by the query: the
@@ -42,7 +46,7 @@ from ._dag import rebuild
 from .circuits import BoolCircuit, CircuitBuilder, DNFFormula
 from .cnf import CNFFormula, compile_dpll
 from .cq import (ConjunctiveQuery, Database, _check_relations, _compile_full,
-                 compile_cq, domain_sort_key)
+                 compile_cq)
 from .errors import (InputFormatError, NotHierarchical, SelfJoinPresent,
                      TargetExogenous)
 from .queries import (ApproxParams, WeightMap, _fold, approx_count_dnf,
@@ -267,90 +271,46 @@ class ReadOnceTree:
 def provenance_read_once(query: ConjunctiveQuery, db: Database) -> ReadOnceTree:
     """Read-once provenance tree for a hierarchical self-join-free query.
 
-    Recursion: disconnected atom groups combine by independent AND; a
-    variable shared by every atom of a connected group splits it into
-    independent OR branches, one per value; a single atom is the OR of its
-    matching facts.  Every atom must name a relation of the database, with
-    its arity.
+    The lifted query is compiled with every variable free, in hierarchy
+    order: the query's variables by the number of atoms holding them, most
+    first, then the identifiers.  Each connected residual then branches on
+    a variable all of its atoms share, so the circuit is a tree whose
+    joins are independent ANDs and whose unions are independent ORs; it is
+    read off bottom-up, one atom's facts under one OR.  Facts that join
+    with nothing are removed by the compiler's semijoin reduction and are
+    absent.  Every atom must name a relation of the database, with its
+    arity.
     """
     _check_relations(query, db)
     if not is_hierarchical(query):
         raise NotHierarchical(f"{query} is not hierarchical")
-    fact_vars = FactVar(db)
-    per_atom = [sorted(db.relations[rel],
-                       key=lambda f: tuple(domain_sort_key(v) for v in f))
-                for rel, _ in query.atoms]
+    lifted = lift(query, db)
+    holders = {v: sum(v in vs for _, vs in query.atoms) for v in query.variables()}
+    order = sorted(holders, key=holders.get, reverse=True) + list(lifted.id_vars)
+    rel = compile_cq(lifted.query, lifted.db, order)
+    id_attrs = {rel.attr_index[v] for v in lifted.id_vars}
 
-    def consistent(atom_idx: int, facts: list, binding: dict) -> list:
-        _, vs = query.atoms[atom_idx]
-        out = []
-        for f in facts:
-            ok = True
-            seen = dict(binding)
-            for var, value in zip(vs, f):
-                if seen.setdefault(var, value) != value:
-                    ok = False
-                    break
-            if ok:
-                out.append(f)
-        return out
+    def leaf(rec) -> Optional[ReadOnceTree]:
+        if rec[0] == 'I' and rec[1] in id_attrs:
+            return ReadOnceTree('leaf', var=rel.domains[rec[1]][rec[2]])
+        return ReadOnceTree('or', ()) if rec[0] == '0' else None
 
-    def recurse(atom_ids: list, facts: dict, binding: dict) -> ReadOnceTree:
-        if not atom_ids:
-            return ReadOnceTree('and', ())
-        unbound = {a: {v for v in query.atoms[a][1] if v not in binding}
-                   for a in atom_ids}
-        # split into groups connected by shared unbound variables
-        groups = []
-        remaining = set(atom_ids)
-        while remaining:
-            seed = min(remaining)
-            group = {seed}
-            frontier = [seed]
-            while frontier:
-                a = frontier.pop()
-                for other in list(remaining - group):
-                    if unbound[a] & unbound[other]:
-                        group.add(other)
-                        frontier.append(other)
-            groups.append(sorted(group))
-            remaining -= group
-        if len(groups) > 1:
-            return ReadOnceTree('and', tuple(recurse(g, facts, binding)
-                                             for g in groups))
-        group = groups[0]
-        if len(group) == 1:
-            a = group[0]
-            matching = consistent(a, facts[a], binding)
-            leaves = tuple(ReadOnceTree('leaf', var=fact_vars.var_of[(query.atoms[a][0], f)])
-                           for f in matching)
-            return ReadOnceTree('or', leaves)
-        shared = set.intersection(*(unbound[a] for a in group))
-        if not shared:
-            raise NotHierarchical(
-                f"{query}: connected atoms {group} share no variable")
-        root_var = min(shared)
-        values = None
-        positions = {}
-        for a in group:
-            _, vs = query.atoms[a]
-            pos = vs.index(root_var)
-            vals = {f[pos] for f in consistent(a, facts[a], binding)}
-            values = vals if values is None else values & vals
-        branches = []
-        for value in sorted(values, key=domain_sort_key):
-            new_binding = dict(binding)
-            new_binding[root_var] = value
-            new_facts = dict(facts)
-            for a in group:
-                new_facts[a] = consistent(a, facts[a], new_binding)
-            branches.append(recurse(group, new_facts, new_binding))
-        return ReadOnceTree('or', tuple(branches))
+    def conj(kids: tuple) -> Optional[ReadOnceTree]:
+        kids = tuple(k for k in kids if k is not None)
+        return kids[0] if len(kids) == 1 else ReadOnceTree('and', kids)
 
-    tree = recurse(list(range(len(query.atoms))),
-                   {a: per_atom[a] for a in range(len(query.atoms))}, {})
+    def disj(kids: tuple) -> ReadOnceTree:
+        if all(k.kind == 'leaf' or k.kind == 'or' and
+               all(c.kind == 'leaf' for c in k.children) for k in kids):
+            kids = tuple(c for k in kids
+                         for c in ((k,) if k.kind == 'leaf' else k.children))
+        return ReadOnceTree('or', kids)
+
+    tree = rebuild(rel.nodes, leaf, {'J': conj, 'U': disj})[rel.output]
+    if tree is None:
+        tree = ReadOnceTree('and', ())
     seen = tree.variables()
-    assert len(seen) == len(set(seen)), "read-once recursion repeated a fact"
+    assert len(seen) == len(set(seen)), "read-once extraction repeated a fact"
     return tree
 
 

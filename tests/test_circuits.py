@@ -183,6 +183,16 @@ def test_right_linear_caterpillar():
     assert spine + [node.var] == order
     assert tree.vars == frozenset(range(n))
     assert tree.right.right.vars == frozenset(order[2:])
+    # as a hint: an AND of the two deepest leaves fits the last spine node,
+    # and an AND nesting the third-deepest with the deepest against the
+    # second-deepest fits none
+    b = CircuitBuilder(n)
+    deep = b.conj((b.literal(order[-2], True), b.literal(order[-1], True)))
+    assert classify(b.finish(deep), hint=tree).structured_witness is tree
+    b = CircuitBuilder(n)
+    outer = b.conj((b.conj((b.literal(order[-3], True), b.literal(order[-1], True))),
+                    b.literal(order[-2], True)))
+    assert classify(b.finish(outer), hint=tree).structured_witness is None
 
 
 def test_vtree_repr():

@@ -306,20 +306,72 @@ def random_hierarchical_query(rng):
     return parse_cq(rng.choice(shapes))
 
 
+def tree_models(tree, n):
+    """Satisfying bitstrings of a read-once tree over n facts, in the
+    layout of fact_bit_models."""
+    got = set()
+    for mask in range(1 << n):
+        val = {j: (mask >> (n - 1 - j)) & 1 for j in range(n)}
+        if tree.evaluate(val):
+            got.add(format(mask, f'0{n}b'))
+    return got
+
+
 def test_read_once_random_against_subinstances():
     rng = random.Random(29)
     for _ in range(20):
         q = random_hierarchical_query(rng)
         db = random_db_for(q, rng, max_facts=7)
         tree = provenance_read_once(q, db)
-        fv = FactVar(db)
-        n = len(fv)
-        got = set()
-        for mask in range(1 << n):
-            val = {j: (mask >> (n - 1 - j)) & 1 for j in range(n)}
-            if tree.evaluate(val):
-                got.add(format(mask, f'0{n}b'))
-        assert got == fact_bit_models(q, db)
+        assert tree_models(tree, len(FactVar(db))) == fact_bit_models(q, db)
+
+
+# variables listed against the hierarchy, and a repeated variable
+OUT_OF_ORDER_SHAPES = [
+    "Q() :- R(y, x), S(x).",
+    "Q() :- S(y, x), R(x), T(z, y, x).",
+    "Q() :- R(x, x), S(x, y).",
+]
+
+
+def test_read_once_out_of_order_shapes_against_subinstances():
+    rng = random.Random(41)
+    for text in OUT_OF_ORDER_SHAPES:
+        q = parse_cq(text)
+        for _ in range(12):
+            db = random_db_for(q, rng, max_facts=8)
+            tree = provenance_read_once(q, db)
+            assert tree_models(tree, len(FactVar(db))) == fact_bit_models(q, db)
+
+
+DANGLING_QUERY = "Q() :- R(x), S(x, y), T(x, y, z)."
+
+
+def dangling_db():
+    """R(a) and S(a, a) join no T fact, and T(a, b, a) joins no S fact."""
+    return Database({'R': {('a',), ('b',)}, 'S': {('a', 'a'), ('b', 'b')},
+                     'T': {('a', 'b', 'a'), ('b', 'b', 'a')}})
+
+
+def test_read_once_leaves_are_lineage_facts():
+    """The tree holds exactly the facts of the lineage's terms: facts that
+    join with nothing are no leaves."""
+    q = parse_cq(DANGLING_QUERY)
+    db = dangling_db()
+    labels = FactVar(db).labels()
+    tree = provenance_read_once(q, db)
+    assert sorted(labels[v] for v in tree.variables()) == ['R(b)', 'S(b,b)', 'T(b,b,a)']
+    rng = random.Random(43)
+    cases = [(q, db)]
+    for _ in range(40):
+        q = parse_cq(rng.choice(OUT_OF_ORDER_SHAPES + [DANGLING_QUERY]))
+        cases.append((q, random_db_for(q, rng, max_facts=10)))
+        q = random_hierarchical_query(rng)
+        cases.append((q, random_db_for(q, rng, max_facts=10)))
+    for q, db in cases:
+        terms = provenance_dnf(q, db).terms
+        assert (sorted(provenance_read_once(q, db).variables())
+                == sorted({v for term in terms for v, _ in term}))
 
 
 # -- read-once to decision diagram --------------------------------------------------------------
@@ -386,6 +438,31 @@ def test_pqe_exact_random_against_subinstance_sum():
             if query_true_on(q.head, q.atoms, keep):
                 expect += p
         assert pqe(q, tid) == expect
+
+
+def test_pqe_hierarchical_ten_thousand_facts_product_formula():
+    """Exact PQE of Q() :- R(x), S(x, y) on 10^4 facts equals
+    1 - prod_x (1 - p_R(x) (1 - prod_y (1 - p_S(x, y)))); some x values
+    have an R fact and no S fact, others S facts and no R fact."""
+    rng = random.Random(89)
+    prob = {('R', (f"x{i}",)): Fraction(rng.randint(1, 9), 10) for i in range(2500)}
+    for i in range(500, 3000):
+        for j in rng.sample(range(100), 3):
+            prob[('S', (f"x{i}", f"y{j}"))] = Fraction(rng.randint(1, 9), 10)
+    assert len(prob) == 10_000
+    relations = {'R': set(), 'S': set()}
+    for rel, values in prob:
+        relations[rel].add(values)
+    tid = TID(Database(relations), prob, {f: 'n' for f in prob})
+    no_s = {}
+    for (rel, values), p in prob.items():
+        if rel == 'S':
+            no_s[values[0]] = no_s.get(values[0], 1) * (1 - p)
+    fails = Fraction(1)
+    for (rel, values), p in prob.items():
+        if rel == 'R':
+            fails *= 1 - p * (1 - no_s.get(values[0], 1))
+    assert pqe(parse_cq("Q() :- R(x), S(x, y)."), tid) == 1 - fails
 
 
 def test_pqe_exact_non_hierarchical_equals_subset_sum():
