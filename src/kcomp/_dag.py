@@ -12,13 +12,21 @@ an output id.  A record is a tuple whose first field names its kind:
 Gate children are tuples of node ids.  The passes below read only this
 shape, so they serve both circuit kinds: the variable of an input is its
 second field.  Builders hash-cons records, so structurally equal
-subcircuits share one id, and `prune` keeps what is reachable from the
-output.
+subcircuits share one id.  `prune` freezes a builder's node list: one
+reverse sweep marks what the output reaches, and the records are handed
+back as they are unless some node is dead, when the survivors are
+renumbered.
 
 A set of variables is an int bitmask.  Bit i stands for the i-th variable
 of an ascending order: the sorted universe of a Boolean circuit, attribute
 i of a relational one.  `var_masks` gives every node the mask of the
 inputs below it, and `members` lists a mask's variables in that order.
+
+`certify` is the one certification pass of both circuit kinds: over the
+nodes and their masks it finds NNF, decomposability (pairwise disjoint
+child masks), smoothness and, through the kind's own decision rule, the
+variable of every decision-shaped OR/union gate.  Each circuit object runs
+it once and keeps the decision map for every later reader.
 
 `fold` evaluates a deterministic decomposable circuit in a semiring without
 asking for smoothness: an OR/union child that misses variables of its gate
@@ -155,16 +163,47 @@ def components(items, masks) -> list:
     return list(groups.values())
 
 
-def split_flags(nodes, sets) -> tuple:
-    """(decomposable, smooth): the children of every AND/join gate have
-    disjoint variables, so their popcounts add up to the gate's, and every
-    child of an OR/union gate has the gate's variables."""
-    decomposable = all(sum(sets[c].bit_count() for c in rec[1])
-                       == sets[nid].bit_count()
-                       for nid, rec in enumerate(nodes) if rec[0] in ('A', 'J'))
-    smooth = all(sets[c] == sets[nid] for nid, rec in enumerate(nodes)
-                 if rec[0] in ('O', 'U') for c in rec[1])
-    return decomposable, smooth
+def certify(nodes, sets, decide) -> tuple:
+    """(nnf, decomposable, smooth, decision_only, decisions) of a circuit,
+    from one pass over its nodes and their variable masks.
+
+    NNF means no NOT gate.  An AND/join gate is decomposable when its
+    children's masks are pairwise disjoint, and an OR/union gate smooth
+    when every child has the gate's mask.  decide(nodes, sets, kids) is the
+    circuit kind's decision rule: the variable an OR/union gate with these
+    children tests, or None.  decisions maps each decision gate to its
+    variable, in node order, and decision_only says every OR/union gate is
+    one.
+    """
+    nnf = decomposable = smooth = decision_only = True
+    decisions = {}
+    for nid, rec in enumerate(nodes):
+        kind = rec[0]
+        if kind == 'A' or kind == 'J':
+            if decomposable:
+                acc = 0
+                for c in rec[1]:
+                    mask = sets[c]
+                    if acc & mask:
+                        decomposable = False
+                        break
+                    acc |= mask
+        elif kind == 'O' or kind == 'U':
+            kids = rec[1]
+            if smooth:
+                gate = sets[nid]
+                for c in kids:
+                    if sets[c] != gate:
+                        smooth = False
+                        break
+            var = decide(nodes, sets, kids)
+            if var is None:
+                decision_only = False
+            else:
+                decisions[nid] = var
+        elif kind == 'N':
+            nnf = False
+    return nnf, decomposable, smooth, decision_only, decisions
 
 
 def binary_splits(nodes, sets, kind: str, order):
@@ -201,7 +240,7 @@ def rebuild(nodes, leaf, gates: dict) -> list:
         elif rec[0] == 'N':
             out.append(make(out[rec[1]]))
         else:
-            out.append(make(tuple(out[c] for c in rec[1])))
+            out.append(make([out[c] for c in rec[1]]))
     return out
 
 
@@ -249,9 +288,11 @@ def _no_model(nodes) -> set:
     with such a child and an OR/union with only such children.  No node
     before the first false record reaches one, so the pass starts there,
     and a circuit without false records skips it."""
-    starts = [nodes.index(rec) for rec in _FALSE if rec in nodes]
+    start = next((nid for nid, rec in enumerate(nodes) if rec in _FALSE), None)
     dead = set()
-    for nid in range(min(starts, default=len(nodes)), len(nodes)):
+    if start is None:
+        return dead
+    for nid in range(start, len(nodes)):
         rec = nodes[nid]
         kind = rec[0]
         if (kind in 'F0' or kind in 'AJ' and not dead.isdisjoint(rec[1])
@@ -446,26 +487,35 @@ class Builder:
         return nid
 
     def prune(self, output: int) -> tuple:
-        """(nodes, output) keeping only the nodes reachable from the output,
-        renumbered in builder order."""
+        """(nodes, output) keeping only the nodes reachable from the output.
+
+        One reverse sweep marks them, as every child comes before its
+        parent.  When all are reachable the builder's records are returned
+        as they are; otherwise the survivors are renumbered in builder
+        order."""
         nodes = self.nodes
-        keep = [False] * len(nodes)
-        keep[output] = True
-        stack = [output]
-        while stack:
-            for c in children(nodes[stack.pop()]):
-                if not keep[c]:
-                    keep[c] = True
-                    stack.append(c)
-        remap = [0] * len(nodes)
+        live = bytearray(output + 1)
+        live[output] = 1
+        for nid in range(output, -1, -1):
+            if live[nid]:
+                rec = nodes[nid]
+                kind = rec[0]
+                if kind in GATES:
+                    for c in rec[1]:
+                        live[c] = 1
+                elif kind == 'N':
+                    live[rec[1]] = 1
+        if output == len(nodes) - 1 and 0 not in live:
+            return tuple(nodes), output
+        remap = [0] * (output + 1)
         out = []
-        for nid, rec in enumerate(nodes):
-            if not keep[nid]:
-                continue
-            if rec[0] in GATES:
-                rec = (rec[0], tuple(remap[c] for c in rec[1]))
-            elif rec[0] == 'N':
-                rec = ('N', remap[rec[1]])
-            remap[nid] = len(out)
-            out.append(rec)
+        for nid in range(output + 1):
+            if live[nid]:
+                rec = nodes[nid]
+                if rec[0] in GATES:
+                    rec = (rec[0], tuple([remap[c] for c in rec[1]]))
+                elif rec[0] == 'N':
+                    rec = ('N', remap[rec[1]])
+                remap[nid] = len(out)
+                out.append(rec)
         return tuple(out), remap[output]

@@ -3,10 +3,11 @@
 A circuit is a rooted DAG over variables 0..n-1 with input nodes (constants
 and literals) and AND/OR/NOT gates.  Construction goes through
 CircuitBuilder, which hash-conses nodes so that structurally identical
-subcircuits share one id; finish() prunes unreachable nodes and freezes the
-result.  All transformations (NNF normalization, conditioning, smoothing)
-return new circuits.  The node model, builder and DAG passes are shared
-with relational circuits and live in `_dag`.
+subcircuits share one id; finish() freezes the result, dropping the nodes
+the output does not reach (and renumbering only when there are any).  All
+transformations (NNF normalization, conditioning, smoothing) return new
+circuits, each certified afresh when first asked.  The node model, builder
+and DAG passes are shared with relational circuits and live in `_dag`.
 
 Node records, children always before parents in the node list:
 
@@ -27,8 +28,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ._dag import (Builder, Intervals, binary_splits, components, edge_count,
-                   members, rebuild, split_flags, trampoline, truth_values,
+from ._dag import (Builder, Intervals, binary_splits, certify, components,
+                   edge_count, members, rebuild, trampoline, truth_values,
                    var_masks)
 from .errors import NotDecomposable
 
@@ -183,9 +184,9 @@ class DNFFormula:
 class BoolCircuit:
     """Frozen circuit: node array, output id, variable universe.
 
-    Instances are immutable; helper caches (variable sets, class report,
-    model counts) are computed lazily and idempotently, so concurrent
-    readers are safe.
+    Instances are immutable; helper caches (variable sets, core flags and
+    decision map, class report, model counts) are computed lazily and
+    idempotently, so concurrent readers are safe.
     """
 
     def __init__(self, nodes: tuple, output: int, universe: frozenset,
@@ -198,6 +199,7 @@ class BoolCircuit:
         self._order = None
         self._varsets = None
         self._core_flags = None
+        self._decisions = None
         self._report = None
         self._counts = None
 
@@ -244,36 +246,52 @@ class BoolCircuit:
 
         return int(truth_values(self.nodes, literal)[self.output])
 
-    def decision_var(self, gate: int) -> Optional[int]:
-        """Variable tested by a decision-shaped OR gate, else None.
+    def decisions(self) -> dict:
+        """Decision gate id -> the variable it tests, for every decision-
+        shaped OR gate (`_decision_var`), recorded by `core_flags`."""
+        if self._decisions is None:
+            core_flags(self)
+        return self._decisions
 
-        Shape: exactly two AND children, one holding a negative and the
-        other a positive literal of the same variable as a direct input.
-        """
-        rec = self.nodes[gate]
-        if rec[0] != 'O' or len(rec[1]) != 2:
-            return None
-        sides = []
-        for c in rec[1]:
-            crec = self.nodes[c]
-            if crec[0] != 'A':
-                return None
-            lits = {}
-            for g in crec[1]:
-                grec = self.nodes[g]
-                if grec[0] == 'L':
-                    lits.setdefault(grec[1], set()).add(grec[2])
-            sides.append(lits)
-        for var in sides[0]:
-            if var in sides[1]:
-                pols0, pols1 = sides[0][var], sides[1][var]
-                if (False in pols0 and True in pols1 and True not in pols0
-                        and False not in pols1):
-                    return var
-                if (True in pols0 and False in pols1 and False not in pols0
-                        and True not in pols1):
-                    return var
+    def decision_var(self, gate: int) -> Optional[int]:
+        """Variable tested by a decision-shaped OR gate, else None."""
+        return self.decisions().get(gate)
+
+
+def _decision_var(nodes, sets, kids) -> Optional[int]:
+    """The Boolean decision rule: the variable an OR gate with these
+    children tests, or None.
+
+    Shape: exactly two AND children, one holding a negative and the other a
+    positive literal of the same variable as a direct input, and neither
+    the other polarity; of several such variables, the first of the first
+    child.  sets are unused: the shape is read off the records alone.
+    """
+    if len(kids) != 2:
         return None
+    lo, hi = nodes[kids[0]], nodes[kids[1]]
+    if lo[0] != 'A' or hi[0] != 'A':
+        return None
+    # CircuitBuilder.decision's gadget: two (literal, continuation) ANDs
+    if len(lo[1]) == 2 and len(hi[1]) == 2:
+        a, b = nodes[lo[1][0]], nodes[hi[1][0]]
+        if a[0] == 'L' and b[0] == 'L' and a[1] == b[1] and a[2] != b[2]:
+            ca, cb = nodes[lo[1][1]], nodes[hi[1][1]]
+            if not (ca[0] == 'L' and ca[1] == a[1] or cb[0] == 'L' and cb[1] == a[1]):
+                return a[1]
+    sides = []
+    for crec in (lo, hi):
+        lits = {}
+        for g in crec[1]:
+            grec = nodes[g]
+            if grec[0] == 'L':
+                lits.setdefault(grec[1], set()).add(grec[2])
+        sides.append(lits)
+    for var, pols0 in sides[0].items():
+        pols1 = sides[1].get(var)
+        if pols1 is not None and len(pols0) == len(pols1) == 1 and pols0 != pols1:
+            return var
+    return None
 
 
 class CircuitBuilder(Builder):
@@ -324,7 +342,7 @@ class CircuitBuilder(Builder):
         return self.nodes[nid][1]
 
     def finish(self, output: int, var_names: Optional[tuple] = None) -> BoolCircuit:
-        """Freeze, keeping only nodes reachable from the output."""
+        """Freeze, keeping only nodes reachable from the output (`prune`)."""
         nodes, output = self.prune(output)
         return BoolCircuit(nodes, output, self.universe, var_names)
 
@@ -491,16 +509,17 @@ def respects_vtree(circuit: BoolCircuit, vtree: VTree) -> bool:
 def _synthesize_vtree(variables: frozenset, splits: list):
     """Greedy vtree synthesis from AND splits; None when the greedy
     bipartitioning gets stuck (which does not prove unstructuredness).
-    A recursive generator, run by `trampoline`."""
-    variables = set(variables)
+    Variables and groups are taken in ascending order, so the result does
+    not depend on how the sets were built.  A recursive generator, run by
+    `trampoline`."""
     if not variables:
         return None
     if len(variables) == 1:
-        return VTree.leaf(next(iter(variables)))
+        return VTree.leaf(min(variables))
     splits = [s for s in splits if (s[0] | s[1]) <= variables]
     # the variables of a split side stay together: per variable, one bit
     # per side that holds it, and a bit of its own when no side does
-    sides = dict.fromkeys(variables, 0)
+    sides = dict.fromkeys(sorted(variables), 0)
     bit = 1
     for split in splits:
         for side in split:
@@ -511,27 +530,27 @@ def _synthesize_vtree(variables: frozenset, splits: list):
         if not mask:
             sides[v] = bit
             bit <<= 1
-    groups = [set(g) for g in components(list(sides), list(sides.values()))]
+    groups = components(list(sides), list(sides.values()))
     if len(groups) == 1:
         return None
     full = [s for s in splits if (s[0] | s[1]) == variables]
     if full:
-        part_a, part_b = set(full[0][0]), set(full[0][1])
+        part_a, part_b = full[0]
         for left, right in full[1:]:
-            if {frozenset(left), frozenset(right)} != {frozenset(part_a), frozenset(part_b)}:
+            if {left, right} != {part_a, part_b}:
                 return None
         for g in groups:
-            if g & part_a and g & part_b:
+            if not part_a.isdisjoint(g) and not part_b.isdisjoint(g):
                 return None
     else:
-        part_a = groups[0]
-        part_b = set().union(*groups[1:])
+        part_a = frozenset(groups[0])
+        part_b = variables - part_a
     left_tree = yield _synthesize_vtree(
-        frozenset(part_a), [s for s in splits if (s[0] | s[1]) <= part_a])
+        part_a, [s for s in splits if (s[0] | s[1]) <= part_a])
     if left_tree is None:
         return None
     right_tree = yield _synthesize_vtree(
-        frozenset(part_b), [s for s in splits if (s[0] | s[1]) <= part_b])
+        part_b, [s for s in splits if (s[0] | s[1]) <= part_b])
     if right_tree is None:
         return None
     return VTree.internal(left_tree, right_tree)
@@ -550,40 +569,38 @@ def _synthesized_witness(variables: frozenset, splits: list) -> Optional[VTree]:
 def _detect_obdd_order(circuit: BoolCircuit) -> Optional[tuple]:
     """Global decision order, if the circuit is a pure decision diagram.
 
-    Requires every OR to be a decision gate, every AND to be one of the two
-    gadgets of a decision gate (decision literal plus a continuation that is
-    itself a decision gate or a constant), and the decision variables to
-    admit one topological order along all paths.  In such a diagram every
-    literal sits in a gadget, so ordering each decision variable before
-    those tested right below its gates orders it before all below them.
+    Called on NNF circuits whose every OR is a decision gate, so the
+    recorded decision map lists them all.  Requires every AND to be one of
+    the two gadgets of a decision gate (decision literal plus a
+    continuation that is itself a decision gate or a constant), and the
+    decision variables to admit one topological order along all paths.  In
+    such a diagram every literal sits in a gadget, so ordering each
+    decision variable before those tested right below its gates orders it
+    before all below them.
     """
     nodes = circuit.nodes
     if nodes[circuit.output][0] not in ('O', 'T', 'F'):
         return None
-    tested = {}            # decision gate -> its variable
+    tested = circuit.decisions()       # decision gate -> its variable
     succ = {}              # variable -> variables tested right below it
     gadget_ands = set()
-    for nid, rec in enumerate(nodes):
-        if rec[0] == 'N':
-            return None
-        if rec[0] != 'O':
-            continue
-        var = tested[nid] = circuit.decision_var(nid)
-        if var is None:
-            return None
+    for nid, var in tested.items():
         later = succ.setdefault(var, [])
-        for c in rec[1]:
+        for c in nodes[nid][1]:
             gadget_ands.add(c)
-            crec = nodes[c]
-            if len(crec[1]) != 2:
+            kids = nodes[c][1]
+            if len(kids) != 2:
                 return None
-            lit = [g for g in crec[1]
-                   if nodes[g][0] == 'L' and nodes[g][1] == var]
-            cont = [g for g in crec[1] if g not in lit]
-            if len(lit) != 1 or nodes[cont[0]][0] not in ('O', 'T', 'F'):
+            first, second = nodes[kids[0]], nodes[kids[1]]
+            # exactly one child is a literal of var; the other continues
+            is_lit = first[0] == 'L' and first[1] == var
+            if is_lit == (second[0] == 'L' and second[1] == var):
                 return None
-            if cont[0] in tested:
-                later.append(tested[cont[0]])
+            cont = kids[1] if is_lit else kids[0]
+            if nodes[cont][0] not in ('O', 'T', 'F'):
+                return None
+            if cont in tested:
+                later.append(tested[cont])
     for nid, rec in enumerate(nodes):
         if rec[0] == 'A' and nid not in gadget_ands:
             return None
@@ -612,17 +629,16 @@ def _detect_obdd_order(circuit: BoolCircuit) -> Optional[tuple]:
 def core_flags(circuit: BoolCircuit) -> tuple:
     """(is_nnf, is_decomposable, all_or_decision, is_smooth).
 
-    The cheap linear-time part of classification, enough for the counting
-    and sampling preconditions; witness search lives in classify.
+    The linear-time part of classification, enough for the counting and
+    sampling preconditions: one `_dag.certify` pass per circuit, which also
+    records the decision map that `decision_var`, the OBDD detector and
+    `write_nnf` read.  Witness search lives in classify.
     """
-    if circuit._core_flags is not None:
-        return circuit._core_flags
-    nodes = circuit.nodes
-    is_nnf = not any(rec[0] == 'N' for rec in nodes)
-    is_decomposable, is_smooth = split_flags(nodes, circuit.varsets())
-    all_or_decision = all(circuit.decision_var(nid) is not None
-                          for nid, rec in enumerate(nodes) if rec[0] == 'O')
-    circuit._core_flags = (is_nnf, is_decomposable, all_or_decision, is_smooth)
+    if circuit._core_flags is None:
+        is_nnf, is_decomposable, is_smooth, all_or_decision, decisions = certify(
+            circuit.nodes, circuit.varsets(), _decision_var)
+        circuit._decisions = decisions
+        circuit._core_flags = (is_nnf, is_decomposable, all_or_decision, is_smooth)
     return circuit._core_flags
 
 

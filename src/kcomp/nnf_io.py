@@ -24,6 +24,7 @@ from .errors import InputFormatError
 
 def write_nnf(circuit: BoolCircuit) -> str:
     nodes = circuit.nodes
+    decisions = circuit.decisions()
     lines = []
     edges = 0
     for nid, rec in enumerate(nodes):
@@ -42,8 +43,7 @@ def write_nnf(circuit: BoolCircuit) -> str:
         elif kind == 'O':
             kids = rec[1]
             edges += len(kids)
-            var = circuit.decision_var(nid)
-            j = 0 if var is None else var + 1
+            j = decisions.get(nid, -1) + 1
             lines.append(f"O {j} " + " ".join([str(len(kids))] + [str(c) for c in kids]))
         else:
             raise ValueError("negation gates have no c2d encoding; "

@@ -36,8 +36,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from ._dag import (Builder, answers, edge_count, fold, members, rebuild,
-                   resolve, split_flags, var_masks)
+from ._dag import (Builder, answers, certify, edge_count, fold, members,
+                   rebuild, resolve, var_masks)
 from .circuits import BoolCircuit, CircuitBuilder, _LazyWitness
 from .errors import (DomainViolation, InputFormatError, NonBooleanDomain,
                      NotCountable, NotDecomposable, NotOrdered, OutOfRange)
@@ -105,7 +105,8 @@ class RelClassReport(_LazyWitness):
 
 
 class RelBuilder(Builder):
-    """Hash-consing builder; finish() prunes unreachable nodes."""
+    """Hash-consing builder; finish() freezes, dropping the nodes the
+    output does not reach."""
 
     def __init__(self, attrs: Iterable[str], domains: dict,
                  defaults: Optional[dict] = None):
@@ -187,63 +188,60 @@ def eval_rel(circuit: RelCircuit, tup: dict) -> bool:
 
 # -- classification ----------------------------------------------------------------
 
-def decision_attr(circuit: RelCircuit, nid: int) -> Optional[int]:
-    """Attribute tested by a decision-shaped union, else None.
+def _decision_attr(nodes, sets, kids) -> Optional[int]:
+    """The relational decision rule: the attribute a union with these
+    children tests, or None.
 
     Each child must be a binary join of an input on one common attribute
-    and a continuation not mentioning it, with pairwise distinct values.
+    and a continuation not mentioning it (by its mask in sets), with
+    pairwise distinct values; of several such attributes, the smallest.
     """
-    rec = circuit.nodes[nid]
-    if rec[0] != 'U' or not rec[1]:
+    if not kids:
         return None
-    attrsets = circuit.attrsets()
     options = []
-    for c in rec[1]:
-        crec = circuit.nodes[c]
+    for c in kids:
+        crec = nodes[c]
         if crec[0] != 'J' or len(crec[1]) != 2:
             return None
+        left, right = crec[1]
         cands = {}
-        for inp in crec[1]:
-            other = crec[1][0] if inp == crec[1][1] else crec[1][1]
-            irec = circuit.nodes[inp]
-            if irec[0] == 'I' and not attrsets[other] >> irec[1] & 1:
+        for inp, other in ((left, right), (right, left)):
+            irec = nodes[inp]
+            if irec[0] == 'I' and not sets[other] >> irec[1] & 1:
                 cands.setdefault(irec[1], irec[2])
         if not cands:
             return None
         options.append(cands)
     shared = set(options[0])
     for cands in options[1:]:
-        shared &= set(cands)
+        shared &= cands.keys()
     for attr in sorted(shared):
-        values = [cands[attr] for cands in options]
-        if len(set(values)) == len(values):
+        values = {cands[attr] for cands in options}
+        if len(values) == len(options):
             return attr
     return None
 
 
+def decision_attr(circuit: RelCircuit, nid: int) -> Optional[int]:
+    """Attribute tested by a decision-shaped union, else None; read off
+    the decision map `classify_rel` records once per circuit."""
+    return classify_rel(circuit)._decisions.get(nid)
+
+
 def classify_rel(circuit: RelCircuit) -> RelClassReport:
-    """Syntactic flags; union disjointness is certified only through the
-    decision shape.  The vtree search for structured_witness runs on the
-    first read of that property, not here."""
+    """Syntactic flags from one `_dag.certify` pass; union disjointness is
+    certified only through the decision shape.  The vtree search for
+    structured_witness runs on the first read of that property, not here."""
     if circuit._report is not None:
         return circuit._report
     attrsets = circuit.attrsets()
-    decomposable, smooth_union = split_flags(circuit.nodes, attrsets)
-    decision_only = True
-    in_order = True        # every decision tests its gate's first attribute
-    decisions = {}
-    for nid, rec in enumerate(circuit.nodes):
-        if rec[0] == 'U':
-            attr = decision_attr(circuit, nid)
-            if attr is None:
-                decision_only = False
-            else:
-                decisions[nid] = attr
-                if attrsets[nid] & -attrsets[nid] != 1 << attr:
-                    in_order = False
-
+    _, decomposable, smooth_union, decision_only, decisions = certify(
+        circuit.nodes, attrsets, _decision_attr)
+    # ordered: every decision tests its gate's first attribute
     ordered = None
-    if decision_only and decomposable and in_order:
+    if decision_only and decomposable and all(
+            attrsets[nid] & -attrsets[nid] == 1 << attr
+            for nid, attr in decisions.items()):
         ordered = circuit.attrs
 
     search = None

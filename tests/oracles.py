@@ -12,7 +12,10 @@ Likewise `enumerate_decision_recursive` and `enumerate_rel_recursive` keep
 the package's older recursive enumerators, whose answer sequences the
 stack-based `_dag.answers` must reproduce in order, and `var_sets` keeps
 the package's older per-node frozensets of variables, which its variable
-masks must decode to.  `cardinality_by_convolution`, `RATIONAL_GENERIC` and
+masks must decode to.  `split_flags`, `decision_var` and `decision_attr`
+keep the package's older certification, one pass per flag and the
+decision shape derived per gate, which the one-pass `_dag.certify` and
+its recorded decision maps must agree with.  `cardinality_by_convolution`, `RATIONAL_GENERIC` and
 `best_valuation_generic` keep the package's older exact folds, over lists
 of coefficients and over Fractions, which its integer folds must match.
 `check_determinism_semantic`, `verify_equivalence` and `structurally_equal`
@@ -152,6 +155,84 @@ def var_sets(nodes):
         else:
             sets.append(frozenset())
     return tuple(sets)
+
+
+def split_flags(nodes, sets):
+    """(decomposable, smooth): the children of every AND/join gate have
+    disjoint variables, so their popcounts add up to the gate's, and every
+    child of an OR/union gate has the gate's variables."""
+    decomposable = all(sum(sets[c].bit_count() for c in rec[1])
+                       == sets[nid].bit_count()
+                       for nid, rec in enumerate(nodes) if rec[0] in ('A', 'J'))
+    smooth = all(sets[c] == sets[nid] for nid, rec in enumerate(nodes)
+                 if rec[0] in ('O', 'U') for c in rec[1])
+    return decomposable, smooth
+
+
+def decision_var(circuit, gate):
+    """Variable tested by a decision-shaped OR gate, else None.
+
+    Shape: exactly two AND children, one holding a negative and the
+    other a positive literal of the same variable as a direct input.
+    """
+    rec = circuit.nodes[gate]
+    if rec[0] != 'O' or len(rec[1]) != 2:
+        return None
+    sides = []
+    for c in rec[1]:
+        crec = circuit.nodes[c]
+        if crec[0] != 'A':
+            return None
+        lits = {}
+        for g in crec[1]:
+            grec = circuit.nodes[g]
+            if grec[0] == 'L':
+                lits.setdefault(grec[1], set()).add(grec[2])
+        sides.append(lits)
+    for var in sides[0]:
+        if var in sides[1]:
+            pols0, pols1 = sides[0][var], sides[1][var]
+            if (False in pols0 and True in pols1 and True not in pols0
+                    and False not in pols1):
+                return var
+            if (True in pols0 and False in pols1 and False not in pols0
+                    and True not in pols1):
+                return var
+    return None
+
+
+def decision_attr(circuit, nid):
+    """Attribute tested by a decision-shaped union, else None.
+
+    Each child must be a binary join of an input on one common attribute
+    and a continuation not mentioning it, with pairwise distinct values.
+    """
+    rec = circuit.nodes[nid]
+    if rec[0] != 'U' or not rec[1]:
+        return None
+    attrsets = circuit.attrsets()
+    options = []
+    for c in rec[1]:
+        crec = circuit.nodes[c]
+        if crec[0] != 'J' or len(crec[1]) != 2:
+            return None
+        cands = {}
+        for inp in crec[1]:
+            other = crec[1][0] if inp == crec[1][1] else crec[1][1]
+            irec = circuit.nodes[inp]
+            if irec[0] == 'I' and not attrsets[other] >> irec[1] & 1:
+                cands.setdefault(irec[1], irec[2])
+        if not cands:
+            return None
+        options.append(cands)
+    shared = set(options[0])
+    for cands in options[1:]:
+        shared &= set(cands)
+    for attr in sorted(shared):
+        values = [cands[attr] for cands in options]
+        if len(set(values)) == len(values):
+            return attr
+    return None
 
 
 def smooth_per_variable(circuit):
