@@ -38,7 +38,10 @@ model.
 
 The compilers' exhaustive searches (CNF, CQ, tree automata) are recursive
 generators run by `trampoline` from one explicit stack, and split their
-residuals with `components`, over the variable masks of their parts.
+residuals with `components`, over the variable masks of their parts.  The
+CNF search first asks `spans` whether a residual is still connected, a
+sweep that stops as soon as one component holds the variables where a
+split could start.
 """
 
 from __future__ import annotations
@@ -161,6 +164,31 @@ def components(items, masks) -> list:
     for item, m in zip(items, masks):
         groups.setdefault(owner[(m & -m).bit_length()], []).append(item)
     return list(groups.values())
+
+
+def spans(masks, seeds: int) -> bool:
+    """Whether one connected component of the masks holds every variable of
+    `seeds`: the sweep of `components`, stopped as soon as one does."""
+    comps = []
+    union = 0
+    for m in masks:
+        seen = m & union
+        union |= m
+        if not seen:
+            comps.append(m)
+        elif not seen & ~comps[-1]:
+            comps[-1] |= m
+        else:
+            i = len(comps)
+            while seen:
+                i -= 1
+                if comps[i] & seen:
+                    seen &= ~comps[i]
+                    m |= comps.pop(i)
+            comps.append(m)
+        if not seeds & ~comps[-1]:
+            return True
+    return False
 
 
 def certify(nodes, sets, decide) -> tuple:

@@ -15,7 +15,11 @@ the package's older per-node frozensets of variables, which its variable
 masks must decode to.  `split_flags`, `decision_var` and `decision_attr`
 keep the package's older certification, one pass per flag and the
 decision shape derived per gate, which the one-pass `_dag.certify` and
-its recorded decision maps must agree with.  `cardinality_by_convolution`, `RATIONAL_GENERIC` and
+its recorded decision maps must agree with.  `compile_dpll_reference`
+keeps the package's older DPLL compiler, which sorted every residual into
+its cache key and swept it for components at every step; the incremental
+search must build its circuit node for node, with the same statistics.
+`cardinality_by_convolution`, `RATIONAL_GENERIC` and
 `best_valuation_generic` keep the package's older exact folds, over lists
 of coefficients and over Fractions, which its integer folds must match.
 `check_determinism_semantic`, `verify_equivalence` and `structurally_equal`
@@ -31,10 +35,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from heapq import heappop, heappush
 from math import comb, factorial
 from typing import Optional
 
-from kcomp._dag import branch_values, truth_values
+from kcomp._dag import branch_values, components, trampoline, truth_values
+from kcomp.circuits import CircuitBuilder
+from kcomp.cnf import CompileStats
 from kcomp.queries import (Semiring, _descend, _fold, _max_or_none,
                            _times_or_none, _weighted_fold)
 
@@ -519,6 +526,120 @@ def clause_components(clauses):
         root = find(abs(next(iter(clause))))
         groups.setdefault(root, []).append(clause)
     return list(groups.values())
+
+
+# -- DPLL ------------------------------------------------------------------------
+
+def _reference_pick(clauses, masks, heuristic):
+    if heuristic == 'first_unassigned':
+        union = reduce(operator.or_, masks)
+        return (union & -union).bit_length() - 1
+    if heuristic == 'most_occurrences':
+        occ = {}
+        for clause in clauses:
+            for lit in clause:
+                occ[abs(lit)] = occ.get(abs(lit), 0) + 1
+        best = max(occ.items(), key=lambda kv: (kv[1], -kv[0]))
+        return best[0]
+    if heuristic == 'min_cut_greedy':
+        neigh = {}
+        for clause in clauses:
+            cvars = {abs(lit) for lit in clause}
+            for v in cvars:
+                neigh.setdefault(v, set()).update(cvars - {v})
+        return min(neigh.items(), key=lambda kv: (len(kv[1]), kv[0]))[0]
+    raise ValueError(f"unknown heuristic {heuristic!r}")
+
+
+def compile_dpll_reference(formula, heuristic='first_unassigned', use_cache=True):
+    """The package's older `compile_dpll`: every step copies the residual,
+    sweeps it through `components` and sorts it into its cache key."""
+    b = CircuitBuilder(formula.num_vars)
+    stats = CompileStats()
+    cache = {}
+    clauses = [tuple(sorted(c)) for c in formula.clauses]
+    occurs = [[] for _ in range(formula.num_vars + 1)]
+    for cid, clause in enumerate(clauses):
+        for var in {abs(lit) for lit in clause}:
+            occurs[var].append(cid)
+
+    def restrict(residual, lit):
+        cur = dict(residual)
+        units = [] if lit else [cid for cid, (c, _) in cur.items() if len(c) < 2]
+        forced = []
+        while True:
+            var = abs(lit)
+            for cid in occurs[var]:
+                entry = cur.get(cid)
+                if entry is None:
+                    continue
+                clause = entry[0]
+                if lit in clause:
+                    del cur[cid]
+                    continue
+                clause = tuple([x for x in clause if x != -lit])
+                if not clause:
+                    return forced, None
+                cur[cid] = (clause, entry[1] ^ (1 << var))
+                if len(clause) == 1:
+                    heappush(units, cid)
+            while units:
+                entry = cur.get(heappop(units))
+                if entry is not None:
+                    break
+            else:
+                return forced, cur
+            if not entry[0]:
+                return forced, None
+            lit = entry[0][0]
+            forced.append(lit)
+
+    def solve(residual):
+        if not residual:
+            return b.true()
+        clauses, masks = zip(*residual.values())
+        key = None
+        if use_cache:
+            key = tuple(sorted(clauses))
+            hit = cache.get(key)
+            if hit is not None:
+                stats.cache_hits += 1
+                return hit
+        comps = components(list(residual), masks)
+        if len(comps) > 1:
+            stats.component_splits += 1
+            parts = []
+            for comp in comps:
+                parts.append((yield solve({cid: residual[cid] for cid in comp})))
+            node = b.conj(tuple(parts))
+        else:
+            var = _reference_pick(clauses, masks, heuristic)
+            stats.decision_count += 1
+            lo = yield branch(residual, -var)
+            node = b.decision(var - 1, lo, (yield branch(residual, var)))
+        if use_cache:
+            cache[key] = node
+        return node
+
+    def branch(residual, lit):
+        forced, residual = restrict(residual, lit)
+        if residual is None:
+            return b.false()
+        node = yield solve(residual)
+        for lit in reversed(forced):
+            if lit > 0:
+                node = b.decision(lit - 1, b.false(), node)
+            else:
+                node = b.decision(-lit - 1, node, b.false())
+        return node
+
+    masks = [0] * len(clauses)
+    for cid, clause in enumerate(clauses):
+        for lit in clause:
+            masks[cid] |= 1 << abs(lit)
+    root = trampoline(branch({cid: (c, masks[cid]) for cid, c in enumerate(clauses)}, 0))
+    stats.peak_cache_entries = len(cache)
+    return b.finish(root), stats
 
 
 # -- DNF probability ----------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import kcomp.cnf
 from kcomp._dag import components
 from kcomp.circuits import classify, smooth
 from kcomp.cnf import (CNFFormula, compile_dpll, parse_dimacs, HEURISTICS,
@@ -16,7 +17,8 @@ from kcomp.provenance import TID, pqe
 from kcomp.queries import model_count
 
 from oracles import (_recursion_limit_near_current_depth, clause_components,
-                     cnf_models, models_of, verify_equivalence)
+                     cnf_models, compile_dpll_reference, models_of,
+                     verify_equivalence)
 
 
 def random_cnf(rng, num_vars, num_clauses):
@@ -112,6 +114,13 @@ def test_cache_on_off_equivalent():
         without, _ = compile_dpll(f, use_cache=False)
         assert models_of(with_cache) == models_of(without)
         assert stats.peak_cache_entries >= 0
+
+
+@pytest.mark.parametrize('clauses', [[[1], [2]], [[1, 2]]])
+def test_unknown_heuristic_is_refused_before_the_search(clauses):
+    # the first formula propagates to the end and never reaches a decision
+    with pytest.raises(ValueError, match='bogus'):
+        compile_dpll(CNFFormula.from_lists(2, clauses), heuristic='bogus')
 
 
 def test_unit_propagation_recorded_as_decisions():
@@ -295,3 +304,104 @@ def test_unit_head_propagates_a_long_chain():
     circuit, stats = compile_dpll(implication_chain(n, unit_head=True))
     assert model_count(circuit) == 1
     assert stats.decision_count == 0
+
+
+# -- the incremental search against the older one ------------------------------------
+#
+# `compile_dpll_reference` sorts every residual into its cache key and sweeps
+# it for components at every step.  The incremental key and the local split
+# test must reproduce it node for node, with the same statistics.
+
+def repeated_clause_cnf(rng, copies, extra):
+    """One clause `copies` times among `extra` random clauses, some of which
+    shorten to it once their other literal is set false."""
+    n = rng.randint(3, 8)
+    base = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 2)]
+    clauses = [base] * copies
+    free = [v for v in range(1, n + 1) if v not in map(abs, base)]
+    for _ in range(extra):
+        if rng.random() < 0.5:
+            v = rng.choice(free)
+            clauses.append(base + [v if rng.random() < 0.5 else -v])
+        else:
+            clauses.append(random_cnf(rng, n, 1).clauses[0])
+    rng.shuffle(clauses)
+    return CNFFormula.from_lists(n, clauses)
+
+
+def _differential_corpus():
+    """(formula, cache settings, heuristics) triples.  The uncached search
+    runs only where it stays small, and on long bands only
+    `first_unassigned` runs, since the other two heuristics cut across the
+    band and their searches grow exponentially."""
+    both, cached, first = (True, False), (True,), ('first_unassigned',)
+    rng = random.Random(97)
+    out = []
+    for _ in range(170):
+        out.append((random_cnf(rng, rng.randint(1, 16), rng.randint(1, 40)), both, HEURISTICS))
+    for _ in range(40):
+        out.append((random_cnf(rng, rng.randint(20, 40), rng.randint(10, 60)), cached,
+                    HEURISTICS))
+    for n in range(6, 15):
+        out.append((banded_cnf(random.Random(n), n), both, HEURISTICS))
+    for n in (20, 30, 40):
+        out.append((banded_cnf(random.Random(n), n), cached, HEURISTICS))
+        out.append((banded_cnf(random.Random(n), n, per_window=3, width=5), cached,
+                    HEURISTICS))
+    for n in (90, 200, 400):
+        out.append((banded_cnf(random.Random(n), n), cached, first))
+        out.append((banded_cnf(random.Random(n), n, per_window=3, width=5), cached, first))
+    for n in (1, 2, 3, 8, 25, 60, 150):
+        out.append((implication_chain(n), both, HEURISTICS))
+        out.append((implication_chain(n, unit_head=True), both, HEURISTICS))
+    for _ in range(25):
+        # every clause one clause: the root holds m copies, the largest
+        # count a digit of len(clauses).bit_length() bits must hold
+        m = rng.choice([1, 2, 3, 7, 8, 15, 16, 31, 32, 63])
+        out.append((repeated_clause_cnf(rng, m, 0), both, HEURISTICS))
+        out.append((repeated_clause_cnf(rng, rng.randint(1, 12), rng.randint(1, 12)), both,
+                    HEURISTICS))
+    for j in range(1, 7):
+        # x1 false leaves 2^j copies of (2 3), x1 true one (4 5), interned
+        # next: a digit one bit narrower would carry into the next one and
+        # give both residuals one key
+        out.append((CNFFormula.from_lists(5, [[1, 2, 3]] * 2 ** j + [[-1, 4, 5]]), both,
+                    HEURISTICS))
+    for clauses in ([], [[1, 2], []], [[]], [[2]], [[2], [-2, 3], [1, 3]],
+                    [[3, 4], [-1], [1, 2, -4], [2]], [[1], [-1]], [[1, -1], [2, 3]],
+                    [[1, -1, 2], [-2, 3], [1, -3]], [[1, -1], [2, -2], [3, 4], [-3, 4]]):
+        out.append((CNFFormula.from_lists(4, clauses), both, HEURISTICS))
+    out.append((CNFFormula.from_lists(0, []), both, HEURISTICS))
+    return out
+
+
+def test_incremental_search_matches_the_reference_node_for_node():
+    corpus = _differential_corpus()
+    assert len(corpus) >= 300
+    splits = hits = 0
+    for formula, caches, heuristics in corpus:
+        for heuristic in heuristics:
+            for use_cache in caches:
+                got, s = compile_dpll(formula, heuristic, use_cache)
+                ref, r = compile_dpll_reference(formula, heuristic, use_cache)
+                assert got.nodes == ref.nodes and got.output == ref.output
+                assert (s.decision_count, s.cache_hits, s.component_splits,
+                        s.peak_cache_entries) == (
+                            r.decision_count, r.cache_hits, r.component_splits,
+                            r.peak_cache_entries)
+                splits += s.component_splits
+                hits += s.cache_hits
+    assert splits > 100 and hits > 1000
+
+
+def test_component_grouping_runs_only_at_the_root_and_on_splits(monkeypatch):
+    grouped = []
+
+    def counting(items, masks):
+        grouped.append(len(items))
+        return components(items, masks)
+
+    monkeypatch.setattr(kcomp.cnf, 'components', counting)
+    circuit, stats = compile_dpll(banded_cnf(random.Random(400), 400))
+    assert stats.decision_count > 1000
+    assert len(grouped) <= stats.component_splits + 1
