@@ -13,12 +13,12 @@ from .relational import (RelBuilder, RelCircuit, classify_rel, count_rel,
                          direct_access, enumerate_rel, eval_rel, from_boolean,
                          project_away, read_rel, to_boolean, write_rel)
 from .cq import (ConjunctiveQuery, Database, answer_access, answer_count,
-                 answer_enum, compile_cq, elimination_order, is_acyclic,
-                 is_free_connex, join_tree, parse_cq)
-from .provenance import (TID, FactVar, ReadOnceTree, is_hierarchical, lift,
-                         pqe, provenance_circuit_sjf, provenance_dnf,
-                         provenance_read_once, read_once_to_obdd, shapley,
-                         shapley_all, uniform_reliability)
+                 answer_enum, compile_answers, compile_cq, elimination_order,
+                 is_acyclic, is_free_connex, join_tree, parse_cq)
+from .provenance import (TID, FactVar, Lineage, ReadOnceTree, is_hierarchical,
+                         lift, lineage, pqe, provenance_circuit_sjf,
+                         provenance_dnf, provenance_read_once, read_once_to_obdd,
+                         shapley, shapley_all, uniform_reliability)
 from .trees import (NondetTreeAutomaton, ProbTree, TreeAutomaton, TreeNode,
                     answer_circuit, automaton_from_json, determinize,
                     pqe_tree, provenance_tree, run, tree_from_json)

@@ -24,6 +24,11 @@ A query that is not free-connex goes through the projection step of Bagan,
 Durand and Grandjean: it is compiled with every variable free, its answers
 are projected onto the head, and that set is compiled as the one atom of
 the free-connex `Q(head) :- A(head)`, at the cost of the full join.
+
+`compile_answers` compiles a query's answers once per database: a
+`Database` is immutable and caches the circuit, keyed by the query, for as
+long as it lives, so `answer_count`, `answer_enum` and `answer_access` all
+read one circuit.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Optional
 
 from ._dag import components, trampoline
@@ -133,22 +139,34 @@ def _split_vars(csv: str) -> list:
 
 
 class Database:
-    """Per-relation fact sets over an ordered active domain."""
+    """Per-relation fact sets over an ordered active domain.
+
+    Immutable: `relations` is a read-only mapping of frozensets, so what is
+    compiled from a database stays valid while the database lives.  Two
+    caches ride on it, each keyed by the (hashable, by content) query:
+    `compile_answers` keeps answer circuits and `provenance.lineage` keeps
+    lineages.  Each entry is built on the first request and dropped with
+    the database.
+    """
 
     def __init__(self, relations: dict):
-        self.relations = {}
-        self.arity = {}
+        frozen = {}
+        arity = {}
         values = set()
         for rel, facts in relations.items():
-            facts = {tuple(f) for f in facts}
+            facts = frozenset(tuple(f) for f in facts)
             for f in facts:
                 values.update(f)
-                if self.arity.setdefault(rel, len(f)) != len(f):
+                if arity.setdefault(rel, len(f)) != len(f):
                     raise ArityMismatch(f"relation {rel} has facts of "
                                         f"different arities")
-            self.arity.setdefault(rel, None)
-            self.relations[rel] = facts
+            arity.setdefault(rel, None)
+            frozen[rel] = facts
+        self.relations = MappingProxyType(frozen)
+        self.arity = MappingProxyType(arity)
         self.active_domain = sorted(values, key=domain_sort_key)
+        self._answers = {}       # query -> compile_answers circuit
+        self._lineages = {}      # query -> provenance.lineage record
 
     @staticmethod
     def from_tsv(text: str) -> 'Database':
@@ -640,32 +658,41 @@ def _compile_full(query: ConjunctiveQuery, db: Database) -> RelCircuit:
     return compile_cq(ConjunctiveQuery(tuple(order), query.atoms), db, order)
 
 
-def _answer_circuit(query: ConjunctiveQuery, db: Database) -> RelCircuit:
+def compile_answers(query: ConjunctiveQuery, db: Database) -> RelCircuit:
     """Ordered decision circuit of the answers, attributes in head order.
 
     A free-connex query compiles directly.  Any other query compiles with
     every variable free; its answers, projected onto the head, are then
     compiled as the one atom of `Q(head) :- A(head)`, which is free-connex.
+    The circuit is cached on the database, keyed by the query, so every
+    later call (and the count and access index the circuit caches on
+    itself) is read, not rebuilt.
     """
-    if is_free_connex(query):
-        return compile_cq(query, db)
-    head = tuple(dict.fromkeys(query.head))
-    rows = {tuple(t[v] for v in head) for t in enumerate_rel(_compile_full(query, db))}
-    return compile_cq(ConjunctiveQuery(query.head, (('A', head),)),
-                      Database({'A': rows}))
+    circuit = db._answers.get(query)
+    if circuit is None:
+        if is_free_connex(query):
+            circuit = compile_cq(query, db)
+        else:
+            head = tuple(dict.fromkeys(query.head))
+            rows = {tuple(t[v] for v in head)
+                    for t in enumerate_rel(_compile_full(query, db))}
+            circuit = compile_cq(ConjunctiveQuery(query.head, (('A', head),)),
+                                 Database({'A': rows}))
+        db._answers[query] = circuit
+    return circuit
 
 
 def answer_count(query: ConjunctiveQuery, db: Database) -> int:
-    return count_rel(_answer_circuit(query, db))
+    return count_rel(compile_answers(query, db))
 
 
 def answer_enum(query: ConjunctiveQuery, db: Database) -> Iterator[dict]:
     """Answers as dicts over the head variables, in lexicographic order."""
-    for tup in enumerate_rel(_answer_circuit(query, db)):
+    for tup in enumerate_rel(compile_answers(query, db)):
         yield {v: tup[v] for v in query.head}
 
 
 def answer_access(query: ConjunctiveQuery, db: Database, index: int) -> dict:
     """The index-th answer (1-based) in the compiled lexicographic order."""
-    tup = direct_access(_answer_circuit(query, db), index)
+    tup = direct_access(compile_answers(query, db), index)
     return {v: tup[v] for v in query.head}

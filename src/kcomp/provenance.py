@@ -33,6 +33,12 @@ endogenous facts come from one bottom-up and one top-down derivative pass
 over polynomials in a common presence probability t (Owen's multilinear-
 extension identity), with no smoothing, conditioning or rebuilding per
 fact.
+
+The lineage circuit is built once per database and query: `lineage`
+caches its `Lineage` record on the (immutable) `Database`, keyed by the
+query, for as long as the database lives.  The record holds no
+probabilities, so every TID over that database, and every task on it,
+reads the same circuit.
 """
 
 from __future__ import annotations
@@ -341,14 +347,18 @@ def read_once_to_obdd(tree: ReadOnceTree, num_vars: int) -> BoolCircuit:
 
 # -- aggregation tasks ------------------------------------------------------------------
 
-def _hierarchical_obdd(query: ConjunctiveQuery, db: Database) -> BoolCircuit:
-    tree = provenance_read_once(query, db)
-    return read_once_to_obdd(tree, len(FactVar(db)))
+@dataclass(frozen=True)
+class Lineage:
+    """A deterministic decomposable circuit over one variable per fact, for
+    a query's lineage or, when negated, its complement."""
+    circuit: BoolCircuit
+    negated: bool
+    fact_vars: FactVar
 
 
-def _lineage(query: ConjunctiveQuery, db: Database) -> tuple:
-    """(circuit, negated): a deterministic decomposable circuit over one
-    variable per fact, for the lineage or, when negated, its complement.
+def lineage(query: ConjunctiveQuery, db: Database) -> Lineage:
+    """The lineage circuit that exact PQE, uniform reliability and Shapley
+    values read, cached on the database and keyed by the query.
 
     A hierarchical self-join-free query gets its read-once decision
     diagram.  Any other query gets the negated lineage: one clause of
@@ -356,44 +366,55 @@ def _lineage(query: ConjunctiveQuery, db: Database) -> tuple:
     on the fact in most terms first.  That route is exact but not always
     polynomial: some lineages have no small decision-DNNF.
     """
+    hit = db._lineages.get(query)
+    if hit is not None:
+        return hit
+    fact_vars = FactVar(db)
     if query.self_join_free and is_hierarchical(query):
-        return _hierarchical_obdd(query, db), False
-    dnf = provenance_dnf(query, db)
-    clauses = [[-1 - v for v, _ in term] for term in dnf.terms]
-    circuit, _ = compile_dpll(CNFFormula.from_lists(dnf.num_vars, clauses),
-                              'most_occurrences')
-    return circuit, True
+        circuit = read_once_to_obdd(provenance_read_once(query, db), len(fact_vars))
+        negated = False
+    else:
+        dnf = provenance_dnf(query, db)
+        clauses = [[-1 - v for v, _ in term] for term in dnf.terms]
+        circuit, _ = compile_dpll(CNFFormula.from_lists(dnf.num_vars, clauses),
+                                  'most_occurrences')
+        negated = True
+    hit = db._lineages[query] = Lineage(circuit, negated, fact_vars)
+    return hit
+
+
+def _fact_probs(facts: list, tid: TID) -> dict:
+    """Probability of each fact variable, numbered along `facts`."""
+    return {v: Fraction(tid.prob[f]) for v, f in enumerate(facts)}
 
 
 def pqe(query: ConjunctiveQuery, tid: TID, mode: str = 'exact',
         params: Optional[ApproxParams] = None):
     """Probability that the query holds on the tuple-independent database.
 
-    'exact' runs weighted counting with exact rationals on the lineage
-    circuit of `_lineage`, so P(Q) is its WMC, or 1 minus that on the
-    negated lineage; 'approx' runs the Monte Carlo DNF counter and needs
-    ApproxParams.
+    'exact' runs weighted counting with exact rationals on the circuit of
+    `lineage`, so P(Q) is its WMC, or 1 minus that on the negated lineage;
+    'approx' runs the Monte Carlo DNF counter and needs ApproxParams.
     """
-    fact_vars = FactVar(tid.db)
-    probs = {fact_vars.var_of[f]: Fraction(tid.prob[f]) for f in fact_vars.facts}
     if mode == 'exact':
-        circuit, negated = _lineage(query, tid.db)
-        p = wmc(circuit, WeightMap.from_probabilities(probs))
-        return 1 - p if negated else p
+        lin = lineage(query, tid.db)
+        probs = _fact_probs(lin.fact_vars.facts, tid)
+        p = wmc(lin.circuit, WeightMap.from_probabilities(probs))
+        return 1 - p if lin.negated else p
     if mode == 'approx':
         if params is None:
             raise ValueError("approx mode needs ApproxParams")
         dnf = provenance_dnf(query, tid.db)
-        return approx_count_dnf(dnf, probs, params)
+        return approx_count_dnf(dnf, _fact_probs(tid.db.facts(), tid), params)
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def uniform_reliability(query: ConjunctiveQuery, db: Database) -> int:
     """Number of subinstances satisfying the query: the model count of the
     lineage circuit, or 2^n minus that of the negated lineage."""
-    circuit, negated = _lineage(query, db)
-    count = model_count(circuit)
-    return (1 << len(circuit.universe)) - count if negated else count
+    lin = lineage(query, db)
+    count = model_count(lin.circuit)
+    return (1 << len(lin.circuit.universe)) - count if lin.negated else count
 
 
 def shapley(query: ConjunctiveQuery, tid: TID, target) -> Fraction:
@@ -412,10 +433,10 @@ def shapley(query: ConjunctiveQuery, tid: TID, target) -> Fraction:
 
 def shapley_all(query: ConjunctiveQuery, tid: TID) -> dict:
     """Shapley value of every endogenous fact, from one bottom-up and one
-    top-down pass over the lineage circuit of `_lineage`, at a cost of
-    O(|C| m^2) integer operations for a circuit C and m endogenous facts."""
-    circuit, negated = _lineage(query, tid.db)
-    return _shapley_by_derivative(circuit, -1 if negated else 1, tid)
+    top-down pass over the circuit of `lineage`, at a cost of O(|C| m^2)
+    integer operations for a circuit C and m endogenous facts."""
+    lin = lineage(query, tid.db)
+    return _shapley_by_derivative(lin.circuit, -1 if lin.negated else 1, tid)
 
 
 def _shapley_by_derivative(circuit: BoolCircuit, sign: int, tid: TID) -> dict:
@@ -435,14 +456,13 @@ def _shapley_by_derivative(circuit: BoolCircuit, sign: int, tid: TID) -> dict:
     Shapley values are linear and a constant game has none, so sign -1 on
     a circuit of the negated lineage gives the values of the query.
     """
-    fact_vars = FactVar(tid.db)
-    endo = tid.endogenous()
-    endo_vars = {fact_vars.var_of[f] for f in endo}
+    endo = {v: f for v, f in enumerate(tid.db.facts())
+            if tid.kind.get(f, 'n') == 'n'}
     nodes = circuit.nodes
     one, zero = [1], []
 
     def literal(key) -> list:
-        if key[0] in endo_vars:
+        if key[0] in endo:
             return [0, 1] if key[1] else [1, -1]
         return one if key[1] else zero
 
@@ -477,12 +497,12 @@ def _shapley_by_derivative(circuit: BoolCircuit, sign: int, tid: TID) -> dict:
     m = len(endo)
     denom = lcm(*range(1, m + 1))
     weights = [denom // (k + 1) for k in range(m)]
-    numer = dict.fromkeys(endo_vars, 0)
+    numer = dict.fromkeys(endo, 0)
     for nid, rec in enumerate(nodes):
-        if rec[0] == 'L' and rec[1] in endo_vars:
+        if rec[0] == 'L' and rec[1] in endo:
             area = sum(c * w for c, w in zip(adjoint[nid], weights))
             numer[rec[1]] += area if rec[2] else -area
-    return {f: Fraction(sign * numer[fact_vars.var_of[f]], denom) for f in endo}
+    return {f: Fraction(sign * numer[v], denom) for v, f in endo.items()}
 
 
 def _poly_add(a: list, b: list) -> list:

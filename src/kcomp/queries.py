@@ -408,6 +408,10 @@ def karp_luby_sample_count(num_terms: int, params: ApproxParams) -> int:
                      / (params.epsilon ** 2))
 
 
+# cells of one chunk of Karp-Luby trials (rows of one float draw per variable)
+_KL_CHUNK_CELLS = 1 << 20
+
+
 def approx_count_dnf(dnf: DNFFormula, probs: dict, params: ApproxParams) -> Fraction:
     """Multiplicative (1 +- epsilon) estimate of the satisfaction probability.
 
@@ -417,6 +421,14 @@ def approx_count_dnf(dnf: DNFFormula, probs: dict, params: ApproxParams) -> Frac
     estimate is the exact term-probability total times the success rate,
     clamped to [largest term probability, 1], and is deterministic for a
     fixed seed.
+
+    Trials run in chunks of about `_KL_CHUNK_CELLS` cells, so memory stays
+    bounded whatever the trial count.  A chunk draws one uniform per
+    variable and row, compares it with the variable's probability, then
+    overwrites the chosen term's variables with their polarities; that is
+    exact, since a uniform draw is always below 1 and never below 0, and
+    the random stream is the same in any chunking.  Terms are tested on
+    the transposed (variables x rows) bits.
     """
     probs = {v: Fraction(p) for v, p in probs.items()}
     for v in range(dnf.num_vars):
@@ -444,19 +456,32 @@ def approx_count_dnf(dnf: DNFFormula, probs: dict, params: ApproxParams) -> Frac
     choice_p = choice_p / choice_p.sum()
     chosen = rng.choice(m, size=trials, p=choice_p)
 
-    base = np.array([float(probs[v]) for v in range(n)])
-    per_term_p = np.tile(base, (m, 1))
+    base = np.array([float(probs[v]) for v in range(n)])[:, None]
+    # each term's variables and polarities, padded with the spare row n
+    width = max(len(term) for term in dnf.terms)
+    term_vars = np.full((m, width), n, dtype=np.intp)
+    term_pols = np.zeros((m, width), dtype=bool)
+    literals = []
     for j, term in enumerate(dnf.terms):
-        for var, pol in term:
-            per_term_p[j, var] = pol
-    bits = rng.random((trials, n)) < per_term_p[chosen]
+        for k, (var, pol) in enumerate(term):
+            term_vars[j, k] = var
+            term_pols[j, k] = pol
+        literals.append((np.array([var for var, pol in term if pol], dtype=np.intp),
+                         np.array([var for var, pol in term if not pol], dtype=np.intp)))
 
-    first = np.full(trials, m, dtype=np.int64)
-    for j, term in enumerate(dnf.terms):
-        pos = np.array([var for var, pol in term if pol], dtype=np.intp)
-        neg = np.array([var for var, pol in term if not pol], dtype=np.intp)
-        sat = bits[:, pos].all(1) & ~bits[:, neg].any(1)
-        first = np.where(sat & (first == m), j, first)
-    estimate = total * Fraction(int(np.count_nonzero(first == chosen)), trials)
+    hits = 0
+    step = max(1, _KL_CHUNK_CELLS // n)
+    for start in range(0, trials, step):
+        picked = chosen[start:start + step]
+        rows = len(picked)
+        bits = np.empty((n + 1, rows), dtype=bool)
+        np.less(rng.random((rows, n)).T, base, out=bits[:n])
+        bits[term_vars[picked], np.arange(rows)[:, None]] = term_pols[picked]
+        first = np.full(rows, m, dtype=np.int64)
+        for j, (pos, neg) in enumerate(literals):
+            sat = bits[pos].all(0) & ~bits[neg].any(0)
+            first = np.where(sat & (first == m), j, first)
+        hits += int(np.count_nonzero(first == picked))
+    estimate = total * Fraction(hits, trials)
     # P(DNF) lies between its likeliest term and 1
     return min(max(estimate, max(term_probs)), Fraction(1))

@@ -15,12 +15,16 @@ tree's depth is bounded by memory, not by Python's recursion limit.
 The same construction, reading the node variable as membership in a set
 annotation instead of keep-versus-revert, yields the circuit of a query's
 answer sets over an alphabet of (label, bit) pairs.
+
+A probabilistic tree caches its provenance circuits, one per automaton
+content, for as long as it lives, so `pqe_tree` after `provenance_tree`
+compiles nothing.  `answer_circuit` takes a bare tree and is not cached.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -67,6 +71,9 @@ class ProbTree:
     tree: TreeNode
     prob: dict               # preorder node index -> Fraction in [0, 1]
     default: object = DEFAULT_LABEL
+    # automaton content -> provenance_tree's (circuit, vtree)
+    _provenance: dict = field(default_factory=dict, init=False,
+                              compare=False, repr=False)
 
     def __post_init__(self):
         n = self.tree.node_count()
@@ -238,11 +245,23 @@ def _compile_decisions(automaton: TreeAutomaton, tree: TreeNode,
 def provenance_tree(automaton: TreeAutomaton, prob_tree: ProbTree) -> tuple:
     """Circuit over the tree's nodes: a variable is true when the node
     keeps its label, false when it reverts to the default; satisfying
-    valuations are the accepted worlds.  Returns (circuit, vtree)."""
+    valuations are the accepted worlds.  Returns (circuit, vtree).
+
+    The pair is cached on the probabilistic tree, keyed by the automaton's
+    content (states, accepting states and both transition tables), not its
+    identity, and lives as long as the tree.  The circuit does not read the
+    probabilities, so trees that differ only in those compile separately.
+    """
     _require_deterministic(automaton)
-    default = prob_tree.default
-    return _compile_decisions(automaton, prob_tree.tree,
-                              lambda label: (label, default))
+    key = (automaton.states, automaton.accepting,
+           frozenset(automaton.leaf_transition.items()),
+           frozenset(automaton.internal_transition.items()))
+    hit = prob_tree._provenance.get(key)
+    if hit is None:
+        default = prob_tree.default
+        hit = prob_tree._provenance[key] = _compile_decisions(
+            automaton, prob_tree.tree, lambda label: (label, default))
+    return hit
 
 
 def _require_deterministic(automaton):
@@ -252,7 +271,9 @@ def _require_deterministic(automaton):
 
 
 def pqe_tree(automaton: TreeAutomaton, prob_tree: ProbTree) -> Fraction:
-    """Probability that a random world of the tree is accepted; exact."""
+    """Probability that a random world of the tree is accepted; exact.
+    Reads the circuit `provenance_tree` cached on the tree, so after the
+    first call only the weighted count is left."""
     from .queries import WeightMap, wmc
     circuit, _ = provenance_tree(automaton, prob_tree)
     probs = {i: Fraction(prob_tree.prob[i]) for i in range(len(circuit.universe))}

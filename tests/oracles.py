@@ -24,7 +24,9 @@ search must build its circuit node for node, with the same statistics.
 of coefficients and over Fractions, which its integer folds must match.
 `check_determinism_semantic`, `verify_equivalence` and `structurally_equal`
 are exhaustive checkers over 2^n valuations or whole node lists that no
-library path calls.  `tree_acceptance_probability` sums state distributions
+library path calls.  `approx_count_dnf_dense` keeps the package's older
+Karp-Luby counter, which drew every trial at once into dense trials x n
+matrices; the chunked counter must give the same estimate for a seed.  `tree_acceptance_probability` sums state distributions
 bottom-up over a tree of any depth, and `_recursion_limit_near_current_depth`
 lets a test show that a library path does not recurse with its input.
 """
@@ -39,11 +41,13 @@ from heapq import heappop, heappush
 from math import comb, factorial
 from typing import Optional
 
+import numpy as np
+
 from kcomp._dag import branch_values, components, trampoline, truth_values
 from kcomp.circuits import CircuitBuilder
 from kcomp.cnf import CompileStats
 from kcomp.queries import (Semiring, _descend, _fold, _max_or_none,
-                           _times_or_none, _weighted_fold)
+                           _times_or_none, _weighted_fold, karp_luby_sample_count)
 
 
 # -- Boolean circuits: truth tables as bit masks ------------------------------
@@ -667,6 +671,50 @@ def dnf_probability(terms, probs):
         bits = bin(mask).count('1')
         total += p if bits % 2 == 1 else -p
     return total
+
+
+def approx_count_dnf_dense(dnf, probs, params):
+    """Karp-Luby as the package ran it before chunking: every trial's
+    assignment drawn at once, from a trials x n matrix of per-term
+    probabilities indexed by the chosen terms."""
+    probs = {v: Fraction(p) for v, p in probs.items()}
+    if not dnf.terms:
+        return Fraction(0)
+    term_probs = []
+    for term in dnf.terms:
+        p = Fraction(1)
+        for var, pol in term:
+            p *= probs[var] if pol else 1 - probs[var]
+        term_probs.append(p)
+    total = sum(term_probs)
+    if total == 0:
+        return Fraction(0)
+    if len(dnf.terms) == 1:
+        return term_probs[0]
+
+    n = dnf.num_vars
+    m = len(dnf.terms)
+    trials = karp_luby_sample_count(m, params)
+    rng = np.random.default_rng(params.seed)
+    choice_p = np.array([float(p / total) for p in term_probs])
+    choice_p = choice_p / choice_p.sum()
+    chosen = rng.choice(m, size=trials, p=choice_p)
+
+    base = np.array([float(probs[v]) for v in range(n)])
+    per_term_p = np.tile(base, (m, 1))
+    for j, term in enumerate(dnf.terms):
+        for var, pol in term:
+            per_term_p[j, var] = pol
+    bits = rng.random((trials, n)) < per_term_p[chosen]
+
+    first = np.full(trials, m, dtype=np.int64)
+    for j, term in enumerate(dnf.terms):
+        pos = np.array([var for var, pol in term if pol], dtype=np.intp)
+        neg = np.array([var for var, pol in term if not pol], dtype=np.intp)
+        sat = bits[:, pos].all(1) & ~bits[:, neg].any(1)
+        first = np.where(sat & (first == m), j, first)
+    estimate = total * Fraction(int(np.count_nonzero(first == chosen)), trials)
+    return min(max(estimate, max(term_probs)), Fraction(1))
 
 
 # -- Conjunctive queries -------------------------------------------------------

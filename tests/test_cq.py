@@ -308,6 +308,57 @@ def test_database_tsv_round_trip():
         Database.from_tsv("justonefield\n")
 
 
+def test_database_relations_are_read_only():
+    db = Database({'R': {('a', 'b')}, 'S': [('b',)]})
+    assert isinstance(db.relations['R'], frozenset)
+    with pytest.raises(AttributeError):
+        db.relations['R'].add(('c', 'd'))
+    with pytest.raises(TypeError):
+        db.relations['R'] = {('c', 'd')}
+    with pytest.raises(TypeError):
+        db.relations['T'] = frozenset()
+    with pytest.raises(TypeError):
+        db.arity['R'] = 3
+    assert db.facts() == [('R', ('a', 'b')), ('S', ('b',))]
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records the arguments of
+    each call in the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize('text, calls_per_compile', [
+    ("Q(x, y) :- R(x, y), S(y, z).", 1),     # free-connex: compiled directly
+    ("Q(x, z) :- R(x, y), S(y, z).", 2),     # full join, then the projection
+], ids=['free_connex', 'projected'])
+def test_answer_tasks_on_one_database_compile_once(monkeypatch, text, calls_per_compile):
+    q = parse_cq(text)
+    db = Database({'R': {('a', 'b'), ('a', 'c'), ('d', 'b')},
+                   'S': {('b', 'e'), ('c', 'e'), ('c', 'f')}})
+    expect = sorted(join_answers(q.head, q.atoms, db.relations))
+    calls = count_calls(monkeypatch, cq_module, 'compile_cq')
+    circuit = cq_module.compile_answers(q, db)
+    assert len(calls) == calls_per_compile
+    assert answer_count(q, db) == len(expect)
+    assert [tuple(a[v] for v in q.head) for a in answer_enum(q, db)] == expect
+    assert [tuple(answer_access(q, db, i)[v] for v in q.head)
+            for i in range(1, len(expect) + 1)] == expect
+    assert cq_module.compile_answers(parse_cq(text), db) is circuit
+    assert len(calls) == calls_per_compile
+    # an equal database is another cache
+    cq_module.compile_answers(q, Database(dict(db.relations)))
+    assert len(calls) == 2 * calls_per_compile
+
+
 def test_compiled_circuits_always_certify():
     rng = random.Random(91)
     for _ in range(20):

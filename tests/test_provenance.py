@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ from kcomp.cq import ConjunctiveQuery, Database, parse_cq
 from kcomp.errors import (InputFormatError, NotHierarchical, SelfJoinPresent,
                           TargetExogenous)
 from kcomp.cnf import CNFFormula, compile_dpll
-from kcomp.provenance import (TID, FactVar, _shapley_by_derivative,
-                              is_hierarchical, lift, pqe,
+from kcomp import cq as cq_module
+from kcomp import provenance as provenance_module
+from kcomp.provenance import (TID, FactVar, Lineage, _shapley_by_derivative,
+                              is_hierarchical, lift, lineage, pqe,
                               provenance_circuit_sjf, provenance_dnf,
                               provenance_read_once, read_once_to_obdd,
                               shapley, shapley_all, uniform_reliability)
@@ -18,6 +21,7 @@ from kcomp.queries import ApproxParams, WeightMap, model_count, wmc
 
 from oracles import (dnf_probability, models_of, provenance_sets,
                      query_true_on, shapley_by_conditioning, shapley_direct)
+from test_cq import count_calls
 
 
 def toy_db():
@@ -763,6 +767,64 @@ def test_provenance_dnf_on_a_ten_thousand_fact_block_tid():
     assert dnf.num_vars == len(facts)
     assert {frozenset(v for v, _ in t) for t in dnf.terms} == expect
     assert all(pol for t in dnf.terms for _, pol in t)
+
+
+def test_pqe_approx_on_a_208_fact_block_tid_in_bounded_memory():
+    # 28 independent blocks: P(Q) = 1 - prod over blocks of (1 - P(block)),
+    # each block's probability a sum over its subinstances; the old dense
+    # Karp-Luby matrices took about 180 MB per matrix here
+    q = parse_cq("Q() :- R(x), S(x, y), T(y).")
+    base, blocks = block_tid(random.Random(83), 28)
+    tid = TID(base.db, {f: p / 2 for f, p in base.prob.items()}, base.kind)
+    assert len(tid.db.facts()) == 208
+    miss = Fraction(1)
+    for block in blocks:
+        sub = TID(Database({rel: {v for r, v in block if r == rel} for rel in 'RST'}),
+                  {f: tid.prob[f] for f in block}, {f: tid.kind[f] for f in block})
+        miss *= 1 - subset_probability(q, sub)
+    exact = 1 - miss
+    assert Fraction(1, 4) < exact < Fraction(9, 10)
+    epsilon = 0.1
+    tracemalloc.start()
+    try:
+        est = pqe(q, tid, mode='approx', params=ApproxParams(epsilon, 0.05, 17))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(est - exact) <= Fraction(epsilon) * exact
+    assert peak < 64 << 20
+
+
+# -- compile once, read many ------------------------------------------------------------------
+
+@pytest.mark.parametrize('text, module', [
+    ("Q() :- R(x), S(x, y).", provenance_module),       # read-once route
+    ("Q() :- R(x), S(x, y), T(y).", cq_module),         # negated lineage
+], ids=['read_once', 'negated'])
+def test_aggregates_on_one_tid_compile_the_lifted_query_once(monkeypatch, text, module):
+    q = parse_cq(text)
+    tid, _ = block_tid(random.Random(5), 3)
+    expect = (pqe(q, tid), uniform_reliability(q, tid.db), shapley_all(q, tid))
+    fresh = TID(Database(dict(tid.db.relations)), tid.prob, tid.kind)
+    calls = count_calls(monkeypatch, module, 'compile_cq')
+    got = (pqe(q, fresh), uniform_reliability(q, fresh.db), shapley_all(q, fresh))
+    assert got == expect
+    assert len(calls) == 1
+    lin = lineage(q, fresh.db)
+    assert isinstance(lin, Lineage) and lin is lineage(parse_cq(text), fresh.db)
+    assert lin.negated == (module is cq_module)
+    assert lin.fact_vars.facts == fresh.db.facts()
+    assert len(calls) == 1
+
+
+def test_lineage_is_cached_per_database_not_per_tid():
+    q = parse_cq("Q() :- R(x), S(x, y).")
+    base, _ = block_tid(random.Random(7), 1)
+    other = TID(base.db, {f: 1 - p for f, p in base.prob.items()}, base.kind)
+    assert lineage(q, base.db) is lineage(q, other.db)
+    assert pqe(q, base) == subset_probability(q, base)
+    assert pqe(q, other) == subset_probability(q, other)
+    assert pqe(q, base) != pqe(q, other)
 
 
 # -- TID parsing ---------------------------------------------------------------------------------

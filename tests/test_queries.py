@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from kcomp import queries
 from kcomp.circuits import CircuitBuilder, DNFFormula, core_flags, smooth
 from kcomp.errors import (IncompleteWeightMap, NotDNNF,
                           NotSmoothDeterministicDNNF, Unsatisfiable)
 from kcomp.queries import (COUNTING, ApproxParams, WeightMap,
                            approx_count_dnf, best_valuation,
-                           count_by_cardinality, enumerate_models, model_count,
+                           count_by_cardinality, enumerate_models,
+                           karp_luby_sample_count, model_count,
                            sample_uniform, satisfiable, witness, wmc)
 
-from oracles import (count_models, dnf_probability, models_of,
-                     valuation_to_bits, weighted_sum)
+from oracles import (approx_count_dnf_dense, count_models, dnf_probability,
+                     models_of, valuation_to_bits, weighted_sum)
 from test_circuits import DEMO_ROWS, demo_decision, demo_dnnf
 
 
@@ -419,6 +421,36 @@ def test_karp_luby_estimate_clamped_to_likeliest_term_and_one():
     for seed in range(5):
         est = approx_count_dnf(dnf, probs, ApproxParams(0.5, 0.5, seed))
         assert Fraction(9, 10) <= est <= 1
+
+
+def random_dnf(rng, num_vars, num_terms):
+    terms = [[(v, rng.random() < 0.7)
+              for v in rng.sample(range(num_vars), rng.randint(1, min(4, num_vars)))]
+             for _ in range(num_terms)]
+    probs = {v: Fraction(rng.randint(0, 4), 4) for v in range(num_vars)}
+    return DNFFormula.from_literal_lists(num_vars, terms), probs
+
+
+def test_karp_luby_chunks_keep_the_dense_estimate():
+    # 12 terms over 60 variables at epsilon = 0.05: 53k trials, 3.2M cells,
+    # so four chunks of about 2^20 cells, the last one partial
+    rng = random.Random(29)
+    for seed in (1, 2, 3):
+        dnf, probs = random_dnf(rng, 60, 12)
+        params = ApproxParams(0.05, 0.05, seed)
+        assert karp_luby_sample_count(12, params) * 60 > 3 * queries._KL_CHUNK_CELLS
+        assert approx_count_dnf(dnf, probs, params) == approx_count_dnf_dense(dnf, probs, params)
+
+
+@pytest.mark.parametrize('cells', [1, 7, 97, 1000])
+def test_karp_luby_any_chunk_size_keeps_the_dense_estimate(monkeypatch, cells):
+    # chunks of one row up to many rows, sizes that do not divide the trials
+    monkeypatch.setattr(queries, '_KL_CHUNK_CELLS', cells)
+    rng = random.Random(cells)
+    for _ in range(10):
+        dnf, probs = random_dnf(rng, rng.randint(2, 30), rng.randint(2, 8))
+        params = ApproxParams(0.4, 0.3, rng.randrange(1 << 20))
+        assert approx_count_dnf(dnf, probs, params) == approx_count_dnf_dense(dnf, probs, params)
 
 
 def test_dnf_rejects_contradictory_term():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from kcomp import trees as trees_module
 from kcomp.circuits import classify, respects_vtree, smooth
 from kcomp.errors import (IncompleteTransition, InputFormatError,
                           NondeterministicAutomaton)
@@ -14,6 +15,7 @@ from kcomp.trees import (NondetTreeAutomaton, ProbTree, TreeAutomaton,
 
 from oracles import (_recursion_limit_near_current_depth, models_of,
                      run_automaton_naive, tree_acceptance_probability)
+from test_cq import count_calls
 
 
 def some_label_automaton(target='a', alphabet=('a', 'e')):
@@ -194,6 +196,45 @@ def test_pqe_seven_eighths():
     a = some_label_automaton()
     pt = ProbTree(three_nodes('a'), {i: Fraction(1, 2) for i in range(3)})
     assert pqe_tree(a, pt) == Fraction(7, 8)
+
+
+def test_provenance_tree_compiles_once_per_tree_and_automaton(monkeypatch):
+    calls = count_calls(monkeypatch, trees_module, '_compile_decisions')
+    rng = random.Random(23)
+    a = random_automaton(rng, 3)
+    t = random_tree(rng, 41)
+    pt = ProbTree(t, {i: Fraction(rng.randint(0, 4), 4) for i in range(t.node_count())})
+    first = provenance_tree(a, pt)
+    assert provenance_tree(a, pt) is first
+    assert pqe_tree(a, pt) == tree_acceptance_probability(a, pt)
+    assert len(calls) == 1
+    assert 'provenance' not in repr(pt)
+    # equal content, other objects and insertion orders: a hit
+    twin = TreeAutomaton(tuple(a.states), frozenset(a.accepting),
+                         dict(reversed(a.leaf_transition.items())),
+                         dict(reversed(a.internal_transition.items())))
+    assert twin is not a and provenance_tree(twin, pt) is first
+    assert len(calls) == 1
+    # one transition changed: a miss, with its own correct probability
+    key = next(iter(a.internal_transition))
+    changed = dict(a.internal_transition)
+    changed[key] = (changed[key] + 1) % 3
+    other = TreeAutomaton(a.states, a.accepting, a.leaf_transition, changed)
+    assert provenance_tree(other, pt) is not first
+    assert len(calls) == 2
+    assert pqe_tree(other, pt) == tree_acceptance_probability(other, pt)
+    assert len(calls) == 2
+
+
+def test_pqe_tree_on_one_tree_with_two_probability_maps():
+    a = some_label_automaton()
+    t = TreeNode('a', TreeNode('e'), TreeNode('a', TreeNode('a'), TreeNode('e')))
+    half = ProbTree(t, {i: Fraction(1, 2) for i in range(5)})
+    third = ProbTree(t, {i: Fraction(1, 3) for i in range(5)})
+    assert half == ProbTree(t, dict(half.prob))
+    assert pqe_tree(a, half) == 1 - Fraction(1, 2) ** 3
+    assert pqe_tree(a, third) == 1 - Fraction(2, 3) ** 3
+    assert provenance_tree(a, half)[0] is not provenance_tree(a, third)[0]
 
 
 def test_circuit_size_linear_for_fixed_automaton():
