@@ -42,6 +42,10 @@ residuals with `components`, over the variable masks of their parts.  The
 CNF search first asks `spans` whether a residual is still connected, a
 sweep that stops as soon as one component holds the variables where a
 split could start.
+
+`Memo` is the one-slot cache of a compiled artefact on its immutable input
+(a database's lineage, a probabilistic tree's provenance circuit): it keeps
+the artefact of the last key asked and nothing older.
 """
 
 from __future__ import annotations
@@ -547,3 +551,25 @@ class Builder:
                 remap[nid] = len(out)
                 out.append(rec)
         return tuple(out), remap[output]
+
+
+class Memo:
+    """One slot holding the artefact built for the last key asked.
+
+    `get` returns the held value when `key` equals the held key, and
+    otherwise drops it, calls `build()` and keeps the new pair, so an owner
+    holds at most one artefact whatever its traffic.  The key must name
+    the artefact and every input it is built from besides the owner.
+    """
+
+    __slots__ = ('key', 'value')
+
+    def __init__(self):
+        self.key = self.value = None
+
+    def get(self, key, build):
+        if self.key is None or self.key != key:
+            self.key = self.value = None
+            self.value = build()
+            self.key = key
+        return self.value

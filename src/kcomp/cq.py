@@ -25,10 +25,11 @@ Durand and Grandjean: it is compiled with every variable free, its answers
 are projected onto the head, and that set is compiled as the one atom of
 the free-connex `Q(head) :- A(head)`, at the cost of the full join.
 
-`compile_answers` compiles a query's answers once per database: a
-`Database` is immutable and caches the circuit, keyed by the query, for as
-long as it lives, so `answer_count`, `answer_enum` and `answer_access` all
-read one circuit.
+`compile_answers` returns that circuit; it caches nothing, so a caller
+with several tasks on one query keeps the circuit and reads it with
+`count_rel`, `enumerate_rel` and `direct_access`, which cache their count
+and access index on the circuit.  `answer_count`, `answer_enum` and
+`answer_access` each compile once per call.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Optional
 
-from ._dag import components, trampoline
+from ._dag import Memo, components, trampoline
 from .errors import (ArityMismatch, NotFreeConnex, OrderMissingVariables,
                      QuerySyntaxError, UnboundHeadVariable, UnknownRelation)
 from .relational import RelBuilder, RelCircuit, count_rel, direct_access, enumerate_rel
@@ -141,13 +142,16 @@ def _split_vars(csv: str) -> list:
 class Database:
     """Per-relation fact sets over an ordered active domain.
 
-    Immutable: `relations` is a read-only mapping of frozensets, so what is
-    compiled from a database stays valid while the database lives.  Two
-    caches ride on it, each keyed by the (hashable, by content) query:
-    `compile_answers` keeps answer circuits and `provenance.lineage` keeps
-    lineages.  Each entry is built on the first request and dropped with
-    the database.
+    Immutable, so what is compiled from a database stays valid while the
+    database lives: `relations` and `arity` are read-only mappings, each
+    relation a frozenset, and no attribute can be set or deleted after
+    construction.  The sorted fact list is computed on the first `facts`
+    call and kept.  `cached` holds one derived artefact, the one of the
+    last key asked (`provenance.lineage` keeps the last query's lineage
+    there), until another key replaces it or the database is freed.
     """
+
+    __slots__ = ('relations', 'arity', '_domain', '_facts', '_memo')
 
     def __init__(self, relations: dict):
         frozen = {}
@@ -162,11 +166,28 @@ class Database:
                                         f"different arities")
             arity.setdefault(rel, None)
             frozen[rel] = facts
-        self.relations = MappingProxyType(frozen)
-        self.arity = MappingProxyType(arity)
-        self.active_domain = sorted(values, key=domain_sort_key)
-        self._answers = {}       # query -> compile_answers circuit
-        self._lineages = {}      # query -> provenance.lineage record
+        init = object.__setattr__
+        init(self, 'relations', MappingProxyType(frozen))
+        init(self, 'arity', MappingProxyType(arity))
+        init(self, '_domain', tuple(sorted(values, key=domain_sort_key)))
+        init(self, '_facts', None)
+        init(self, '_memo', Memo())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Database is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Database is immutable; cannot delete {name!r}")
+
+    @property
+    def active_domain(self) -> list:
+        """The values of all facts in domain order, as a fresh list."""
+        return list(self._domain)
+
+    def cached(self, key, build):
+        """The artefact `build()` makes from this database and `key`, built
+        on a miss; only the last key's artefact is kept."""
+        return self._memo.get(key, build)
 
     @staticmethod
     def from_tsv(text: str) -> 'Database':
@@ -213,8 +234,13 @@ class Database:
         return Database.from_relation_texts(texts)
 
     def facts(self) -> list:
-        """All facts as (relation, values), sorted for determinism."""
-        return sorted((rel, f) for rel, fs in self.relations.items() for f in fs)
+        """All facts as (relation, values), sorted for determinism; the
+        numbering of fact variables everywhere.  Sorted once per database,
+        returned as a fresh list."""
+        if self._facts is None:
+            object.__setattr__(self, '_facts', tuple(sorted(
+                (rel, f) for rel, fs in self.relations.items() for f in fs)))
+        return list(self._facts)
 
 
 # -- hypergraph acyclicity -----------------------------------------------------
@@ -489,7 +515,7 @@ def compile_cq(query: ConjunctiveQuery, db: Database,
     rank = {v: i for i, v in enumerate(order)}
 
     # facts are rank-encoded: value i of the sorted active domain becomes i
-    values = db.active_domain
+    values = db._domain
     value_rank = {v: i for i, v in enumerate(values)}
     per_atom = [[tuple(value_rank[v] for v in f) for f in db.relations[rel]]
                 for rel, _ in query.atoms]
@@ -664,22 +690,14 @@ def compile_answers(query: ConjunctiveQuery, db: Database) -> RelCircuit:
     A free-connex query compiles directly.  Any other query compiles with
     every variable free; its answers, projected onto the head, are then
     compiled as the one atom of `Q(head) :- A(head)`, which is free-connex.
-    The circuit is cached on the database, keyed by the query, so every
-    later call (and the count and access index the circuit caches on
-    itself) is read, not rebuilt.
+    Nothing is cached: keep the circuit to run several tasks on it.
     """
-    circuit = db._answers.get(query)
-    if circuit is None:
-        if is_free_connex(query):
-            circuit = compile_cq(query, db)
-        else:
-            head = tuple(dict.fromkeys(query.head))
-            rows = {tuple(t[v] for v in head)
-                    for t in enumerate_rel(_compile_full(query, db))}
-            circuit = compile_cq(ConjunctiveQuery(query.head, (('A', head),)),
-                                 Database({'A': rows}))
-        db._answers[query] = circuit
-    return circuit
+    if is_free_connex(query):
+        return compile_cq(query, db)
+    head = tuple(dict.fromkeys(query.head))
+    rows = {tuple(t[v] for v in head) for t in enumerate_rel(_compile_full(query, db))}
+    return compile_cq(ConjunctiveQuery(query.head, (('A', head),)),
+                      Database({'A': rows}))
 
 
 def answer_count(query: ConjunctiveQuery, db: Database) -> int:

@@ -35,10 +35,12 @@ extension identity), with no smoothing, conditioning or rebuilding per
 fact.
 
 The lineage circuit is built once per database and query: `lineage`
-caches its `Lineage` record on the (immutable) `Database`, keyed by the
-query, for as long as the database lives.  The record holds no
-probabilities, so every TID over that database, and every task on it,
-reads the same circuit.
+keeps its `Lineage` record in the one-slot cache of the (immutable)
+`Database`, keyed by the query's content, until a lineage of another query
+replaces it or the database is freed.  The record holds no probabilities,
+so every TID over that database, and every task on it, reads the same
+circuit.  Fact variables are numbered along `Database.facts()`, which the
+database sorts once.
 """
 
 from __future__ import annotations
@@ -366,26 +368,23 @@ def lineage(query: ConjunctiveQuery, db: Database) -> Lineage:
     on the fact in most terms first.  That route is exact but not always
     polynomial: some lineages have no small decision-DNNF.
     """
-    hit = db._lineages.get(query)
-    if hit is not None:
-        return hit
-    fact_vars = FactVar(db)
-    if query.self_join_free and is_hierarchical(query):
-        circuit = read_once_to_obdd(provenance_read_once(query, db), len(fact_vars))
-        negated = False
-    else:
+    def build() -> Lineage:
+        fact_vars = FactVar(db)
+        if query.self_join_free and is_hierarchical(query):
+            tree = provenance_read_once(query, db)
+            return Lineage(read_once_to_obdd(tree, len(fact_vars)), False, fact_vars)
         dnf = provenance_dnf(query, db)
         clauses = [[-1 - v for v, _ in term] for term in dnf.terms]
         circuit, _ = compile_dpll(CNFFormula.from_lists(dnf.num_vars, clauses),
                                   'most_occurrences')
-        negated = True
-    hit = db._lineages[query] = Lineage(circuit, negated, fact_vars)
-    return hit
+        return Lineage(circuit, True, fact_vars)
+
+    return db.cached(('lineage', query), build)
 
 
-def _fact_probs(facts: list, tid: TID) -> dict:
-    """Probability of each fact variable, numbered along `facts`."""
-    return {v: Fraction(tid.prob[f]) for v, f in enumerate(facts)}
+def _fact_probs(tid: TID) -> dict:
+    """Probability of each fact variable, numbered along `Database.facts`."""
+    return {v: Fraction(tid.prob[f]) for v, f in enumerate(tid.db.facts())}
 
 
 def pqe(query: ConjunctiveQuery, tid: TID, mode: str = 'exact',
@@ -398,14 +397,13 @@ def pqe(query: ConjunctiveQuery, tid: TID, mode: str = 'exact',
     """
     if mode == 'exact':
         lin = lineage(query, tid.db)
-        probs = _fact_probs(lin.fact_vars.facts, tid)
-        p = wmc(lin.circuit, WeightMap.from_probabilities(probs))
+        p = wmc(lin.circuit, WeightMap.from_probabilities(_fact_probs(tid)))
         return 1 - p if lin.negated else p
     if mode == 'approx':
         if params is None:
             raise ValueError("approx mode needs ApproxParams")
         dnf = provenance_dnf(query, tid.db)
-        return approx_count_dnf(dnf, _fact_probs(tid.db.facts(), tid), params)
+        return approx_count_dnf(dnf, _fact_probs(tid), params)
     raise ValueError(f"unknown mode {mode!r}")
 
 

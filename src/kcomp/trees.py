@@ -16,9 +16,10 @@ The same construction, reading the node variable as membership in a set
 annotation instead of keep-versus-revert, yields the circuit of a query's
 answer sets over an alphabet of (label, bit) pairs.
 
-A probabilistic tree caches its provenance circuits, one per automaton
-content, for as long as it lives, so `pqe_tree` after `provenance_tree`
-compiles nothing.  `answer_circuit` takes a bare tree and is not cached.
+A probabilistic tree keeps the provenance circuit of the last automaton
+asked, keyed by the automaton's content, until another automaton replaces
+it or the tree is freed, so `pqe_tree` after `provenance_tree` compiles
+nothing.  `answer_circuit` takes a bare tree and is not cached.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from ._dag import trampoline
+from ._dag import Memo, trampoline
 from .circuits import CircuitBuilder, VTree
 from .errors import (IncompleteTransition, InputFormatError,
                      NondeterministicAutomaton)
@@ -71,8 +72,8 @@ class ProbTree:
     tree: TreeNode
     prob: dict               # preorder node index -> Fraction in [0, 1]
     default: object = DEFAULT_LABEL
-    # automaton content -> provenance_tree's (circuit, vtree)
-    _provenance: dict = field(default_factory=dict, init=False,
+    # provenance_tree's (circuit, vtree) for the last automaton content asked
+    _provenance: Memo = field(default_factory=Memo, init=False,
                               compare=False, repr=False)
 
     def __post_init__(self):
@@ -249,19 +250,17 @@ def provenance_tree(automaton: TreeAutomaton, prob_tree: ProbTree) -> tuple:
 
     The pair is cached on the probabilistic tree, keyed by the automaton's
     content (states, accepting states and both transition tables), not its
-    identity, and lives as long as the tree.  The circuit does not read the
-    probabilities, so trees that differ only in those compile separately.
+    identity; the tree keeps only the last automaton's pair.  The circuit
+    does not read the probabilities, so trees that differ only in those
+    compile separately.
     """
     _require_deterministic(automaton)
     key = (automaton.states, automaton.accepting,
            frozenset(automaton.leaf_transition.items()),
            frozenset(automaton.internal_transition.items()))
-    hit = prob_tree._provenance.get(key)
-    if hit is None:
-        default = prob_tree.default
-        hit = prob_tree._provenance[key] = _compile_decisions(
-            automaton, prob_tree.tree, lambda label: (label, default))
-    return hit
+    default = prob_tree.default
+    return prob_tree._provenance.get(key, lambda: _compile_decisions(
+        automaton, prob_tree.tree, lambda label: (label, default)))
 
 
 def _require_deterministic(automaton):

@@ -319,7 +319,18 @@ def test_database_relations_are_read_only():
         db.relations['T'] = frozenset()
     with pytest.raises(TypeError):
         db.arity['R'] = 3
+    for name in ('relations', 'arity', 'active_domain', 'other'):
+        with pytest.raises(AttributeError):
+            setattr(db, name, {})
+    with pytest.raises(AttributeError):
+        del db.relations
+    # the domain and fact lists handed out are copies
+    db.active_domain.append('z')
+    db.facts().append(('T', ('z',)))
+    assert db.active_domain == ['a', 'b']
     assert db.facts() == [('R', ('a', 'b')), ('S', ('b',))]
+    q = parse_cq("Q(x, y) :- R(x, y).")
+    assert list(enumerate_rel(compile_cq(q, db))) == [{'x': 'a', 'y': 'b'}]
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -340,7 +351,8 @@ def count_calls(monkeypatch, module, name) -> list:
     ("Q(x, y) :- R(x, y), S(y, z).", 1),     # free-connex: compiled directly
     ("Q(x, z) :- R(x, y), S(y, z).", 2),     # full join, then the projection
 ], ids=['free_connex', 'projected'])
-def test_answer_tasks_on_one_database_compile_once(monkeypatch, text, calls_per_compile):
+def test_one_compile_answers_circuit_serves_every_answer_task(monkeypatch, text,
+                                                             calls_per_compile):
     q = parse_cq(text)
     db = Database({'R': {('a', 'b'), ('a', 'c'), ('d', 'b')},
                    'S': {('b', 'e'), ('c', 'e'), ('c', 'f')}})
@@ -348,15 +360,17 @@ def test_answer_tasks_on_one_database_compile_once(monkeypatch, text, calls_per_
     calls = count_calls(monkeypatch, cq_module, 'compile_cq')
     circuit = cq_module.compile_answers(q, db)
     assert len(calls) == calls_per_compile
+    assert count_rel(circuit) == len(expect)
+    assert [tuple(t[v] for v in q.head) for t in enumerate_rel(circuit)] == expect
+    assert [tuple(direct_access(circuit, i)[v] for v in q.head)
+            for i in range(1, len(expect) + 1)] == expect
+    assert len(calls) == calls_per_compile
+    # the answer_* tasks agree, each compiling anew: the database caches nothing
     assert answer_count(q, db) == len(expect)
     assert [tuple(a[v] for v in q.head) for a in answer_enum(q, db)] == expect
-    assert [tuple(answer_access(q, db, i)[v] for v in q.head)
-            for i in range(1, len(expect) + 1)] == expect
-    assert cq_module.compile_answers(parse_cq(text), db) is circuit
-    assert len(calls) == calls_per_compile
-    # an equal database is another cache
-    cq_module.compile_answers(q, Database(dict(db.relations)))
-    assert len(calls) == 2 * calls_per_compile
+    accessed = [answer_access(q, db, i) for i in range(1, len(expect) + 1)]
+    assert [tuple(a[v] for v in q.head) for a in accessed] == expect
+    assert len(calls) == (3 + len(expect)) * calls_per_compile
 
 
 def test_compiled_circuits_always_certify():

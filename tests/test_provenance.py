@@ -1,6 +1,8 @@
+import gc
 import random
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -815,6 +817,24 @@ def test_aggregates_on_one_tid_compile_the_lifted_query_once(monkeypatch, text, 
     assert lin.negated == (module is cq_module)
     assert lin.fact_vars.facts == fresh.db.facts()
     assert len(calls) == 1
+
+
+def test_a_database_keeps_only_the_last_query_lineage(monkeypatch):
+    q1 = parse_cq("Q() :- R(x), S(x, y).")
+    q2 = parse_cq("Q() :- S(x, y), R(x).")
+    tid, _ = block_tid(random.Random(9), 2)
+    calls = count_calls(monkeypatch, provenance_module, 'compile_cq')
+    first = weakref.ref(lineage(q1, tid.db))
+    assert lineage(q1, tid.db) is first()
+    assert len(calls) == 1
+    second = lineage(q2, tid.db)
+    gc.collect()
+    assert first() is None
+    assert len(calls) == 2
+    assert lineage(q2, tid.db) is second and len(calls) == 2
+    # alternating queries rebuild each time, and stay exact
+    assert pqe(q1, tid) == pqe(q2, tid) == subset_probability(q1, tid)
+    assert len(calls) == 4
 
 
 def test_lineage_is_cached_per_database_not_per_tid():

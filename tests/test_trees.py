@@ -224,6 +224,9 @@ def test_provenance_tree_compiles_once_per_tree_and_automaton(monkeypatch):
     assert len(calls) == 2
     assert pqe_tree(other, pt) == tree_acceptance_probability(other, pt)
     assert len(calls) == 2
+    # the tree keeps the last automaton's circuit only
+    assert provenance_tree(a, pt) is not first
+    assert len(calls) == 3
 
 
 def test_pqe_tree_on_one_tree_with_two_probability_maps():
